@@ -3,8 +3,8 @@
 Public surface, by area:
 
 * types and sign arithmetic: :mod:`lowpm.core`
-* exchange local search, exact oracle, sign-restricted matchings:
-  :mod:`lowpm.solver`
+* exchange local search, certified lower bound, exact oracle,
+  sign-restricted matchings: :mod:`lowpm.solver`
 * instance families and closed-form bounds: :mod:`lowpm.constructions`
 * verification sweeps: :mod:`lowpm.verifier`
 * general-graph maximum matching: :mod:`lowpm.blossom`
@@ -54,6 +54,7 @@ from .solver import (
     enumerate_exchanges,
     enumerate_perfect_matchings,
     local_search_min_weight,
+    lower_bound,
     max_matching,
     oracle_min_weight,
     pm_from_sign_max_matching,
@@ -97,6 +98,7 @@ __all__ = [
     "enumerate_perfect_matchings",
     "iter_pairs",
     "local_search_min_weight",
+    "lower_bound",
     "matching_number",
     "matching_split",
     "max_matching",

@@ -198,8 +198,6 @@ def _cmd_solve(args) -> int:
 
         payload = report.to_dict()
         payload["matching"] = serialize_matching(matching.pairs)
-        elapsed = payload.pop("elapsed")
-        payload["elapsed_ms"] = int(elapsed * 1000)
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         print(f"initial_weight {report.initial_weight}")
@@ -208,6 +206,9 @@ def _cmd_solve(args) -> int:
             print(f"moves_r{r} {count}")
         print(f"sideways_moves {report.sideways_moves}")
         print(f"restarts_used {report.restarts}")
+        print(f"stop_reason {report.stop_reason}")
+        print(f"lower_bound {report.lower_bound}")
+        print(f"gap {report.gap}")
         if report.oracle_checked:
             print(f"oracle_min_weight {report.oracle_min_weight}")
             agree = abs(report.final_weight) == report.oracle_min_weight

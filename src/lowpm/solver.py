@@ -11,6 +11,12 @@ Plateaus matter: an optimal matching is often reachable only through
 weight-preserving exchanges, so the search walks plateaus under a sideways
 budget with a visited set of canonical matchings to prevent cycling.
 
+The search stops as soon as |weight| meets a certified lower bound
+(:func:`lower_bound`), computed from the matching numbers of the two sign
+classes and the two-block parity obstruction.  Instances whose minimum sits
+above the parity floor, such as the extremal families, then end on their
+first optimal matching instead of spending every plateau budget.
+
 The oracle computes the exact minimum of |weight| over all perfect
 matchings by recursing on the smallest unmatched vertex, memoizing the set
 of achievable weights per remaining vertex set (bitmask keyed).  The
@@ -79,17 +85,30 @@ class Exchange:
 
 @dataclass
 class SolveReport:
-    """Trace of one local-search run (all restarts included)."""
+    """Trace of one local-search run (all restarts included).
+
+    ``stop_reason`` says why the search ended: ``floor`` (|weight| reached
+    the parity floor), ``certified`` (|weight| reached :func:`lower_bound`),
+    ``no_move`` (every restart ran out of unvisited moves) or ``budget``
+    (some restart spent its sideways budget).  ``lower_bound`` is the floor
+    in the first case and the computed bound otherwise; ``gap`` is
+    |final_weight| - lower_bound, so 0 means the result is proven optimal.
+    """
 
     initial_weight: int
     final_weight: int
     moves_applied: dict[int, int]
     sideways_moves: int
     restarts: int
-    budgets_exhausted: bool
+    stop_reason: str
+    lower_bound: int
     oracle_checked: bool = False
     oracle_min_weight: int | None = None
-    elapsed: float = 0.0
+    elapsed_ms: int = 0
+
+    @property
+    def gap(self) -> int:
+        return abs(self.final_weight) - self.lower_bound
 
     def to_dict(self) -> dict:
         return {
@@ -98,10 +117,12 @@ class SolveReport:
             "moves_applied": {str(r): c for r, c in sorted(self.moves_applied.items())},
             "sideways_moves": self.sideways_moves,
             "restarts": self.restarts,
-            "budgets_exhausted": self.budgets_exhausted,
+            "stop_reason": self.stop_reason,
+            "lower_bound": self.lower_bound,
+            "gap": self.gap,
             "oracle_checked": self.oracle_checked,
             "oracle_min_weight": self.oracle_min_weight,
-            "elapsed": self.elapsed,
+            "elapsed_ms": self.elapsed_ms,
         }
 
 
@@ -265,7 +286,9 @@ def local_search_min_weight(
     (sideways moves are only taken when no improving move exists), so the
     returned best-of-restarts is always such a local optimum.  The search
     stops early once |weight| hits the parity floor (0 when order/2 is
-    even, else 1), which no matching can beat.
+    even, else 1), which no matching can beat.  The first time a descent
+    stalls above the floor, :func:`lower_bound` is computed (once per solve)
+    and from then on the search also stops as soon as |weight| meets it.
     """
     if g.order < 4 or g.order % 2:
         raise ParameterError(f"local search needs even order >= 4, got {g.order}")
@@ -281,6 +304,10 @@ def local_search_min_weight(
     initial_weight = 0
     best_edges: tuple[Pair, ...] | None = None
     best_w = 0
+    # the weight to stop at: the floor until a stall pays for lower_bound
+    target = floor
+    bound: int | None = None
+    budget_hit = False
 
     for attempt in range(policy.restarts + 1):
         if attempt == 0 and policy.start is not None:
@@ -297,7 +324,7 @@ def local_search_min_weight(
 
         visited = {edges}
         sideways_used = 0
-        while abs(w) > floor:
+        while abs(w) > target:
             move = _find_improving(matrix, edges, w, policy.improvement)
             if move is not None:
                 idxs, added, delta = move
@@ -306,7 +333,12 @@ def local_search_min_weight(
                 moves_applied[len(idxs)] += 1
                 visited.add(edges)
                 continue
+            if bound is None:
+                bound = target = lower_bound(g, matrix)
+                if abs(w) <= target:
+                    break
             if sideways_used >= policy.sideways_budget:
+                budget_hit = True
                 break
             sideways = _find_sideways(matrix, edges, w, visited)
             if sideways is None:
@@ -319,17 +351,24 @@ def local_search_min_weight(
 
         if best_edges is None or abs(w) < abs(best_w):
             best_edges, best_w = edges, w
-        if abs(best_w) <= floor:
+        if abs(best_w) <= target:
             break
 
+    if abs(best_w) <= floor:
+        stop_reason, bound = "floor", floor
+    elif abs(best_w) <= target:
+        stop_reason = "certified"
+    else:
+        stop_reason = "budget" if budget_hit else "no_move"
     report = SolveReport(
         initial_weight=initial_weight,
         final_weight=best_w,
         moves_applied=moves_applied,
         sideways_moves=sideways_total,
         restarts=restarts_used,
-        budgets_exhausted=abs(best_w) > floor,
-        elapsed=time.perf_counter() - t0,
+        stop_reason=stop_reason,
+        lower_bound=bound,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
     )
     assert best_edges is not None
     return PerfectMatching(best_edges), report
@@ -441,6 +480,69 @@ def oracle_min_weight(
 # Sign-restricted matchings
 
 
+def _sign_classes(matrix: list[list[int]]) -> tuple[list[Pair], list[Pair]]:
+    """(plus edges, minus edges), canonical order, in one pass over the matrix."""
+    plus: list[Pair] = []
+    minus: list[Pair] = []
+    order = len(matrix)
+    for u in range(order):
+        row = matrix[u]
+        for v in range(u + 1, order):
+            (plus if row[v] > 0 else minus).append((u, v))
+    return plus, minus
+
+
+def _bipartite_side(order: int, edges: list[Pair]) -> int | None:
+    """|A| when ``edges`` are exactly the pairs across a partition {A, B}, else None.
+
+    A is the side holding vertex 0, so B is the neighborhood of 0.
+    """
+    side_b = {v for u, v in edges if u == 0}
+    size_a = order - len(side_b)
+    if not side_b or len(edges) != size_a * len(side_b):
+        return None
+    if any((u in side_b) == (v in side_b) for u, v in edges):
+        return None
+    return size_a
+
+
+def lower_bound(g: SignedCompleteGraph, matrix: list[list[int]] | None = None) -> int:
+    """Certified lower bound on |weight| over all perfect matchings.
+
+    A perfect matching with m minus edges weighs order/2 - 2m, and m is at
+    most the minus class's matching number; symmetrically the weight is at
+    most 2*nu_plus - order/2.  Every weight thus lies on the lattice
+    lo, lo+2, ..., hi with lo = order/2 - 2*nu_minus and hi = 2*nu_plus -
+    order/2; nu_plus is only computed when lo <= 0.  If one sign class is
+    the complete bipartite graph across a partition {A, B} of the vertices
+    (the two-block family), the other class is two cliques, so every perfect
+    matching pairs an even number of A's vertices inside A and uses a number
+    of class edges with the parity of |A|; weights breaking that parity are
+    dropped.  The bound is the smallest |weight| left on the lattice.
+
+    ``matrix`` is the instance's sign matrix when the caller already has it.
+    """
+    order = g.order
+    half = order // 2
+    plus, minus = _sign_classes(_sign_matrix(g) if matrix is None else matrix)
+    lo = half - 2 * len(blossom.maximum_matching(order, minus))
+    hi = half  # all plus; nu_plus only matters when the lattice may reach 0
+    if lo <= 0:
+        hi = 2 * len(blossom.maximum_matching(order, plus)) - half
+    # (sign, parity): a matching's count of ``sign`` edges, (half + sign*w)/2,
+    # must have this parity
+    parities = []
+    for sign, edges in ((1, plus), (-1, minus)):
+        size_a = _bipartite_side(order, edges)
+        if size_a is not None:
+            parities.append((sign, size_a % 2))
+    return min(
+        abs(w)
+        for w in range(lo, hi + 1, 2)
+        if all((half + sign * w) // 2 % 2 == parity for sign, parity in parities)
+    )
+
+
 def max_matching(g: SignedCompleteGraph, sign: int) -> tuple[Pair, ...]:
     """Maximum matching of the subgraph of edges carrying ``sign``."""
     sub = sign_subgraph(g, sign)
@@ -458,7 +560,17 @@ def pm_from_sign_max_matching(g: SignedCompleteGraph, sign: int) -> PerfectMatch
     """
     if g.order % 2:
         raise ParameterError("perfect matchings need even order")
-    mm = max_matching(g, sign)
+    return complete_sign_matching(g, max_matching(g, sign), sign)
+
+
+def complete_sign_matching(
+    g: SignedCompleteGraph, mm: tuple[Pair, ...], sign: int
+) -> PerfectMatching:
+    """Extend a maximum matching of one sign class to a perfect matching.
+
+    The uncovered vertices are paired consecutively; by maximality they span
+    no edge of ``sign``, so every added pair carries -sign.
+    """
     covered = {v for p in mm for v in p}
     uncovered = [v for v in range(g.order) if v not in covered]
     rest = [(uncovered[i], uncovered[i + 1]) for i in range(0, len(uncovered), 2)]

@@ -15,6 +15,7 @@ from lowpm import (
     random_with_imbalance,
     sigma_matching,
 )
+from lowpm import solver
 
 
 def assert_local_optimum(g, m, w):
@@ -36,7 +37,8 @@ class TestConvergence:
         assert report.moves_applied == {2: 0, 3: 0, 4: 0}
         assert report.sideways_moves == 0
         assert report.restarts == 0
-        assert not report.budgets_exhausted
+        assert report.stop_reason == "floor"
+        assert report.gap == 0
 
     @pytest.mark.parametrize("order", [8, 12])
     def test_balanced_instances_reach_zero(self, order):
@@ -51,7 +53,8 @@ class TestConvergence:
         for seed in range(5):
             m, report = local_search_min_weight(g, SearchPolicy(seed=seed))
             assert abs(report.final_weight) == 2
-            assert report.budgets_exhausted
+            assert report.stop_reason == "certified"
+            assert report.gap == 0
 
     def test_agrees_with_oracle_on_mixed_imbalances(self):
         for seed in range(12):
@@ -127,7 +130,7 @@ class TestBudgetsAndDeterminism:
         m1, r1 = local_search_min_weight(g, SearchPolicy(seed=9))
         m2, r2 = local_search_min_weight(g, SearchPolicy(seed=9))
         assert m1 == m2
-        assert r1.to_dict() | {"elapsed": 0} == r2.to_dict() | {"elapsed": 0}
+        assert r1.to_dict() | {"elapsed_ms": 0} == r2.to_dict() | {"elapsed_ms": 0}
 
     def test_zero_budgets_still_return_local_optimum(self):
         g = proposition2_instance(2)
@@ -138,14 +141,30 @@ class TestBudgetsAndDeterminism:
         assert report.sideways_moves == 0
         assert_local_optimum(g, m, report.final_weight)
 
-    def test_sideways_budget_respected_per_restart(self):
+    def test_sideways_budget_respected_per_restart(self, monkeypatch):
         g = clique_instance(2, 2)  # every matching has weight 4, pure plateau
-        _, report = local_search_min_weight(
-            g, SearchPolicy(seed=0, sideways_budget=5, restarts=2)
-        )
-        assert report.sideways_moves <= 5 * 3
+        policy = SearchPolicy(seed=0, sideways_budget=5, restarts=2)
+        _, report = local_search_min_weight(g, policy)
         assert abs(report.final_weight) == 4
-        assert report.budgets_exhausted
+        assert report.stop_reason == "certified"
+        assert report.gap == 0
+        assert report.sideways_moves == 0
+
+        # held at the parity floor, the bound certifies nothing and the
+        # plateau walk runs until each restart spends its budget
+        monkeypatch.setattr(solver, "lower_bound", lambda g, matrix=None: 0)
+        _, report = local_search_min_weight(g, policy)
+        assert 0 < report.sideways_moves <= 5 * 3
+        assert abs(report.final_weight) == 4
+        assert report.stop_reason == "budget"
+        assert (report.lower_bound, report.gap) == (0, 4)
+
+    def test_exhausted_plateau_stops_with_no_move(self, monkeypatch):
+        g = clique_instance(1, 1)  # all plus: the three matchings weigh 2
+        monkeypatch.setattr(solver, "lower_bound", lambda g, matrix=None: 0)
+        _, report = local_search_min_weight(g, SearchPolicy(seed=0, restarts=1))
+        assert report.stop_reason == "no_move"
+        assert (report.lower_bound, report.gap) == (0, 2)
 
     def test_policy_validation(self):
         with pytest.raises(ParameterError):

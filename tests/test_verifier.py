@@ -72,10 +72,12 @@ class TestProp2:
         assert "partial" not in report.stats
 
     def test_k4_partial(self):
+        # order 20 is past the oracle; the minimum 2 is certified instead
         report = verify_prop2(4)
         assert report.ok
-        assert report.stats["partial"] is True
-        assert report.tested == 1  # imbalance identity only
+        assert "partial" not in report.stats
+        assert (report.tested, report.passed) == (2, 2)
+        assert report.rows[0]["min_weight"] == 2
 
     def test_k3_rejected(self):
         with pytest.raises(ParameterError):
@@ -125,10 +127,12 @@ class TestTightness:
         assert report.rows[0]["bound"] == min_weight
 
     def test_above_oracle_scope_is_partial(self):
-        report = verify_tightness(5, 2)  # order 20
+        # order 20 is past the oracle; the minimum 2k is certified instead
+        report = verify_tightness(5, 2)
         assert report.ok
-        assert report.stats["partial"] is True
-        assert report.tested == 2  # imbalance + matching number only
+        assert "partial" not in report.stats
+        assert (report.tested, report.passed) == (3, 3)
+        assert report.rows[0]["min_weight"] == 4
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
