@@ -1,0 +1,8 @@
+"""``python -m lowpm ...``: the same command line as the ``lowpm`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -73,13 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--improvement", choices=("first", "best"), default="first")
     solve.add_argument("--check-oracle", action="store_true",
                        help="also run the exact oracle and compare")
-    solve.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    solve.add_argument("--format", choices=("text", "json"), default="text")
 
     oracle = sub.add_parser("oracle", help="exact minimum |weight|")
     oracle.add_argument("instance")
-    oracle.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    oracle.add_argument("--format", choices=("text", "json"), default="text")
 
     verify = sub.add_parser("verify", help="run one verification sweep")
     verify_sub = verify.add_subparsers(dest="statement", required=True)
@@ -112,13 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v_eg.add_argument("--samples", type=int, default=1000)
     v_eg.add_argument("--seed", type=int, default=0)
 
-    for p in (v_thm1, v_thm2):
-        p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    v_prop2.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    v_tight.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    for p in (v_thm1, v_prop2, v_thm2, v_tight, v_eg):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
     sweep = sub.add_parser("sweep", help="verification grid over (n, k)")
     sweep.add_argument("statement", choices=("thm2", "tight"))
     sweep.add_argument("--n-min", type=int, default=1)
@@ -128,7 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", type=int, default=10)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--jobs", type=int, default=1)
-    sweep.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+
+    for p in (solve, oracle, v_thm1, v_prop2, v_thm2, v_tight, sweep):
+        p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    for p in (solve, oracle):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    for p in (v_thm1, v_prop2, v_thm2, v_tight, v_eg):
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sweep.add_argument("--format", choices=("csv", "text"), default="csv")
 
     return parser
@@ -245,23 +240,21 @@ def _emit_report(report: VerifyReport, fmt: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.statement == "thm1":
+    if args.statement != "eg":
         _warn_oracle_limit(args.oracle_limit)
+    if args.statement == "thm1":
         report = verify_theorem1(
             args.n, samples=args.samples, seed=args.seed, mode=args.mode,
             exhaustive=args.exhaustive, oracle_limit=args.oracle_limit,
         )
     elif args.statement == "prop2":
-        _warn_oracle_limit(args.oracle_limit)
         report = verify_prop2(args.k, oracle_limit=args.oracle_limit)
     elif args.statement == "thm2":
-        _warn_oracle_limit(args.oracle_limit)
         report = verify_theorem2(
             args.n, args.k, samples=args.samples, seed=args.seed, grid=args.grid,
             oracle_limit=args.oracle_limit,
         )
     elif args.statement == "tight":
-        _warn_oracle_limit(args.oracle_limit)
         report = verify_tightness(args.n, args.k, oracle_limit=args.oracle_limit)
     else:
         report = verify_erdos_gallai(args.n, args.k, samples=args.samples, seed=args.seed)

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +175,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["verify", "thm9"])
         assert info.value.code == 2
+
+    def test_python_dash_m(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        path = tmp_path / "inst.sk"
+        path.write_text("signed-k 1\norder 4\nsigns ++-+-+\n")
+        done = subprocess.run([sys.executable, "-m", "lowpm", "oracle", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "min_weight 0\nmatching 0-2 1-3\n"

@@ -1,5 +1,6 @@
 """Exact-minimum oracle versus independent brute force."""
 
+import gc
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from lowpm import (
     SignedCompleteGraph,
     clique_instance,
     enumerate_perfect_matchings,
+    lower_bound,
     oracle_min_weight,
     pair_count,
     proposition2_instance,
@@ -72,6 +74,39 @@ class TestOracle:
             expected_w, expected_pairs = brute_min_weight(g)
             assert w == expected_w
             assert witness.pairs == expected_pairs
+
+    def test_exhaustive_k6_against_brute_force(self):
+        for signs in product((-1, 1), repeat=15):
+            g = SignedCompleteGraph(6, signs)
+            w, witness = oracle_min_weight(g)
+            assert (w, witness.pairs) == brute_min_weight(g)
+
+    def test_order_12_against_brute_force(self):
+        parity = pair_count(12) % 2
+        cases = [random_with_imbalance(12, parity + 6 * seed, seed) for seed in range(6)]
+        cases += [clique_instance(3, k) for k in (1, 2, 3)]
+        for g in cases:
+            w, witness = oracle_min_weight(g)
+            assert (w, witness.pairs) == brute_min_weight(g)
+
+    @pytest.mark.parametrize("order", [16, 18])
+    def test_orders_16_18_against_lower_bound(self, order):
+        parity = pair_count(order) % 2
+        for seed in range(4):
+            g = random_with_imbalance(order, parity + 10 * seed, seed)
+            w, witness = oracle_min_weight(g, order_limit=order)
+            assert abs(sigma_matching(g, witness)) == w
+            assert w == lower_bound(g)
+
+    def test_memo_freed_on_return(self):
+        g = random_with_imbalance(12, 0, 5)
+        gc.collect()
+        gc.disable()
+        try:
+            oracle_min_weight(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("order", [6, 8, 10])
     def test_random_instances_against_brute_force(self, order):
