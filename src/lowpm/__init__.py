@@ -12,7 +12,6 @@ Public surface, by area:
 
 from .blossom import matching_number, maximum_matching
 from .constructions import (
-    BoundQuery,
     clique_instance,
     eg_edge_bound,
     eg_extremal_graph,
@@ -72,7 +71,6 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundQuery",
     "DEFAULT_ORACLE_LIMIT",
     "Exchange",
     "InstanceFormatError",

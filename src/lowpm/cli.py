@@ -28,7 +28,6 @@ from .core import (
 )
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
-    MAX_ORACLE_LIMIT,
     SearchPolicy,
     local_search_min_weight,
     oracle_min_weight,
@@ -133,8 +132,8 @@ def _warn_oracle_limit(limit: int) -> None:
     if limit > DEFAULT_ORACLE_LIMIT:
         print(
             f"warning: oracle limit {limit} is above the default "
-            f"{DEFAULT_ORACLE_LIMIT}; enumeration state grows exponentially with "
-            f"order ({MAX_ORACLE_LIMIT} is the advisable ceiling)",
+            f"{DEFAULT_ORACLE_LIMIT}; one oracle call takes ~20 ms at order 20 and "
+            f"~0.17 s at order 24, growing ~2.6x per two vertices",
             file=sys.stderr,
         )
 

@@ -22,8 +22,6 @@ occupy the lowest-indexed vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Pair,
     ParameterError,
@@ -35,22 +33,11 @@ from .core import (
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    """Validated (n, k) parameter pair; the host graph has order 4n."""
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"n must be a positive integer, got {self.n}")
-        if self.k < 1:
-            raise ParameterError(f"k must be a positive integer, got {self.k}")
-
-    @property
-    def order(self) -> int:
-        return 4 * self.n
+def _check_nk(n: int, k: int) -> None:
+    if n < 1:
+        raise ParameterError(f"n must be a positive integer, got {n}")
+    if k < 1:
+        raise ParameterError(f"k must be a positive integer, got {k}")
 
 
 def proposition2_instance(k: int) -> SignedCompleteGraph:
@@ -80,8 +67,8 @@ def thm2_bound(n: int, k: int) -> int:
     instance, which is the tightness identity.  Defined for all k >= 1 even
     though the matching-weight guarantee it gates needs k >= 2.
     """
-    q = BoundQuery(n, k)
-    return q.n * (q.n - 1) + q.k * (6 * q.n - 1) + q.k * q.k
+    _check_nk(n, k)
+    return n * (n - 1) + k * (6 * n - 1) + k * k
 
 
 def clique_instance(n: int, k: int) -> SignedCompleteGraph:
@@ -91,11 +78,11 @@ def clique_instance(n: int, k: int) -> SignedCompleteGraph:
     thm2_bound(n, k) exactly; the minus subgraph is the complement of the
     clique plus n-k vertices joined to everything, with matching number n-k.
     """
-    q = BoundQuery(n, k)
-    if q.k > q.n:
+    _check_nk(n, k)
+    if k > n:
         raise ParameterError(f"need k <= n, got n={n}, k={k}")
-    clique = 3 * q.n + q.k
-    order = q.order
+    clique = 3 * n + k
+    order = 4 * n
     signs: list[int] = []
     for u in range(order):
         if u < clique:
@@ -107,10 +94,10 @@ def clique_instance(n: int, k: int) -> SignedCompleteGraph:
 
 def eg_edge_bound(n: int, k: int) -> int:
     """Maximum edge count of an order-4n graph with matching number n-k."""
-    q = BoundQuery(n, k)
-    if q.k > q.n:
+    _check_nk(n, k)
+    if k > n:
         raise ParameterError(f"need k <= n, got n={n}, k={k}")
-    return pair_count(q.order) - pair_count(3 * q.n + q.k)
+    return pair_count(4 * n) - pair_count(3 * n + k)
 
 
 def eg_extremal_graph(n: int, k: int) -> SimpleGraph:
@@ -120,12 +107,12 @@ def eg_extremal_graph(n: int, k: int) -> SimpleGraph:
     vertices): every pair with an endpoint among the last n-k vertices.
     This is exactly the minus subgraph of :func:`clique_instance`.
     """
-    q = BoundQuery(n, k)
-    if q.k > q.n:
+    _check_nk(n, k)
+    if k > n:
         raise ParameterError(f"need k <= n, got n={n}, k={k}")
-    clique = 3 * q.n + q.k
-    edges = tuple((u, v) for u, v in iter_pairs(q.order) if v >= clique)
-    return SimpleGraph(q.order, edges)
+    clique = 3 * n + k
+    edges = tuple((u, v) for u, v in iter_pairs(4 * n) if v >= clique)
+    return SimpleGraph(4 * n, edges)
 
 
 def random_with_imbalance(order: int, s: int, seed: int) -> SignedCompleteGraph:

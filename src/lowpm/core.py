@@ -81,7 +81,16 @@ def canonical_pair_index(u: int, v: int, order: int) -> int:
     """
     if not (0 <= u < v < order):
         raise InvalidPairError(f"need 0 <= u < v < order, got u={u}, v={v}, order={order}")
-    return u * order - u * (u + 1) // 2 + (v - u - 1)
+    return pair_row_offset(u, order) + v
+
+
+def pair_row_offset(u: int, order: int) -> int:
+    """``canonical_pair_index(u, v, order) - v`` for every v > u.
+
+    Hot loops precompute this per row and then read the sign of a pair
+    (u, v), u < v, as ``signs[offset[u] + v]`` without a bounds check.
+    """
+    return u * (2 * order - u - 3) // 2 - 1
 
 
 def iter_pairs(order: int) -> Iterator[Pair]:
@@ -207,7 +216,7 @@ def sign_subgraph(g: SignedCompleteGraph, sign: int) -> SimpleGraph:
     """The spanning subgraph of edges carrying the given sign."""
     if sign not in (-1, 1):
         raise ParameterError(f"sign must be -1 or +1, got {sign}")
-    edges = tuple(p for p in iter_pairs(g.order) if g.sign(*p) == sign)
+    edges = tuple(p for p, s in zip(iter_pairs(g.order), g.signs) if s == sign)
     return SimpleGraph(g.order, edges)
 
 
@@ -245,6 +254,21 @@ def matching_split(
 # Text formats
 
 
+def _decimal(text: str) -> int | None:
+    """The value of a numeral of ASCII digits, else None.
+
+    ``str.isdigit`` alone also accepts digits such as ``'²'`` that ``int``
+    rejects, and ``int`` refuses numerals past the interpreter's
+    digit limit; both are malformed input here, not a crash.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def serialize_instance(g: SignedCompleteGraph) -> str:
     """Three-line signed-k text form, bit-exact (trailing newline included)."""
     body = "".join("+" if s > 0 else "-" for s in g.signs)
@@ -263,9 +287,9 @@ def parse_instance(text: str) -> SignedCompleteGraph:
     if len(lines) < 2:
         raise InstanceFormatError("missing 'order <N>' line", line=2, column=1)
     fields = lines[1].split()
-    if len(fields) != 2 or fields[0] != "order" or not fields[1].isdigit():
+    order = _decimal(fields[1]) if len(fields) == 2 and fields[0] == "order" else None
+    if order is None:
         raise InstanceFormatError("expected 'order <N>'", line=2, column=1)
-    order = int(fields[1])
     if order < 2 or order % 2:
         raise InstanceFormatError(f"order must be an even integer >= 2, got {order}", line=2, column=7)
     if len(lines) < 3 or not (lines[2] == "signs" or lines[2].startswith(("signs ", "signs\t"))):
@@ -313,9 +337,9 @@ def parse_matching(text: str) -> tuple[Pair, ...]:
     seen: set[int] = set()
     for tok in tokens[1:]:
         a_str, sep, b_str = tok.partition("-")
-        if not sep or not a_str.isdigit() or not b_str.isdigit():
+        a, b = _decimal(a_str), _decimal(b_str)
+        if not sep or a is None or b is None:
             raise InstanceFormatError(f"expected 'a-b' pair, got {tok!r}", line=1, column=1)
-        a, b = int(a_str), int(b_str)
         if a >= b:
             raise InstanceFormatError(f"pair {tok!r} must satisfy a < b", line=1, column=1)
         if pairs and a < pairs[-1][0]:

@@ -262,13 +262,6 @@ def verify_prop2(k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> VerifyRepo
     return _finish(report, t0)
 
 
-def _admissible_imbalances(order: int, bound: int) -> tuple[int, int]:
-    """(cap, step): admissible s are multiples of 2 with |s| <= cap < bound."""
-    total = pair_count(order)
-    cap = min(bound - 2, total)
-    return cap, 2
-
-
 def verify_theorem2(
     n: int,
     k: int,
@@ -298,7 +291,9 @@ def verify_theorem2(
 
     bound = thm2_bound(n, k)
     threshold = 2 * k - 2
-    cap, step = _admissible_imbalances(order, bound)
+    # admissible s: the cap + 1 even values with |s| <= cap < bound
+    # (bound and C(4n,2) are both even)
+    cap = min(bound - 2, pair_count(order))
     t0 = time.perf_counter()
     report = VerifyReport(
         theorem="theorem2",
@@ -309,14 +304,13 @@ def verify_theorem2(
 
     plan: list[int] = []
     if grid == "full":
-        for s in range(-cap, cap + 1, step):
+        for s in range(-cap, cap + 1, 2):
             plan.extend([s] * samples)
     else:
         forced = [s for s in (0, cap, -cap) if abs(s) <= cap]
         plan.extend(dict.fromkeys(forced))
-        values = cap // step * 2 + 1
         while len(plan) < samples:
-            plan.append(-cap + step * stream.bounded(values))
+            plan.append(-cap + 2 * stream.bounded(cap + 1))
 
     worst_constructive = 0
     for s in plan:

@@ -95,6 +95,13 @@ class TestSolveAndOracle:
         assert code == 2
         assert "28" in err
 
+    def test_non_ascii_order_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.sk"
+        path.write_text("signed-k 1\norder ²\nsigns ++-+-+\n", encoding="utf-8")
+        code, _, err = run(capsys, "oracle", str(path))
+        assert code == 2
+        assert "line 2" in err
+
     def test_oracle_limit_warning(self, tmp_path, capsys):
         path = tmp_path / "inst.sk"
         run(capsys, "gen", "random", "--order", "8", "--imbalance", "0", "-o", str(path))

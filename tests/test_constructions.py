@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from lowpm import (
-    BoundQuery,
     ParameterError,
     SignedCompleteGraph,
     clique_instance,
@@ -25,13 +24,17 @@ from helpers import brute_matching_number, brute_perfect_matchings
 
 
 class TestBoundQuery:
+    """The (n, k) queries of the bound functions and the families they bound."""
+
     def test_order(self):
-        assert BoundQuery(3, 2).order == 12
+        assert clique_instance(3, 2).order == 12
+        assert eg_extremal_graph(3, 2).order == 12
 
     @pytest.mark.parametrize("n,k", [(0, 1), (1, 0), (-2, 2)])
     def test_validation(self, n, k):
-        with pytest.raises(ParameterError):
-            BoundQuery(n, k)
+        for query in (thm2_bound, clique_instance, eg_edge_bound, eg_extremal_graph):
+            with pytest.raises(ParameterError, match="must be a positive integer"):
+                query(n, k)
 
 
 class TestProposition2Instance:

@@ -1,6 +1,7 @@
 """Core types, sign arithmetic and the text formats."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowpm import (
     InstanceFormatError,
@@ -216,6 +217,15 @@ class TestSimpleGraph:
         with pytest.raises(ParameterError):
             sign_subgraph(g, 0)
 
+    def test_sign_subgraph_matches_sign(self):
+        for order in range(4, 31, 2):
+            total = pair_count(order)
+            for s in (total % 2, total - order, 2 * order - total):
+                g = random_with_imbalance(order, s, order * 100 + s)
+                for sign in (1, -1):
+                    expected = tuple(p for p in iter_pairs(order) if g.sign(*p) == sign)
+                    assert sign_subgraph(g, sign).edges == expected, (order, s, sign)
+
 
 class TestInstanceFormat:
     def test_direct_encoding(self):
@@ -253,6 +263,16 @@ class TestInstanceFormat:
             parse_instance("signed-k 1\norder four\nsigns ++-+-+\n")
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("order", [
+        pytest.param("²", id="superscript"),
+        pytest.param("٤", id="arabic-indic"),
+        pytest.param("1" * 5000, id="past-int-digit-limit"),
+    ])
+    def test_order_must_be_ascii_numeral(self, order):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_instance(f"signed-k 1\norder {order}\nsigns ++-+-+\n")
+        assert info.value.line == 2
+
     def test_illegal_character_position(self):
         with pytest.raises(InstanceFormatError) as info:
             parse_instance("signed-k 1\norder 4\nsigns ++x+-+\n")
@@ -282,7 +302,50 @@ class TestMatchingFormat:
         "matching 0-1 1-2",
         "matching 2-3 0-1",
         "matching 0:1",
+        "matching 0-²",
+        "matching ٠-١",
+        pytest.param("matching 0-" + "1" * 5000, id="past-int-digit-limit"),
     ])
     def test_rejects(self, text):
         with pytest.raises(InstanceFormatError):
             parse_matching(text)
+
+
+# Text shaped like each format, so generated input gets past the keyword
+# checks into the numeral and sign parsing.
+_NUMERALS = st.sampled_from(["0", "4", "12", "²", "٤", "1" * 5000]) | st.text(max_size=2)
+_INSTANCE_LIKE = st.builds("signed-k 1\norder {}\nsigns {}".format,
+                           _NUMERALS, st.text(alphabet="+- \t\nx²", max_size=40))
+_MATCHING_LIKE = st.lists(st.builds("{}-{}".format, _NUMERALS, _NUMERALS), max_size=4).map(
+    lambda tokens: " ".join(["matching", *tokens]))
+_PARSER_SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+class TestParserProperties:
+    """Parsers return a value or raise InstanceFormatError on any text."""
+
+    @_PARSER_SETTINGS
+    @given(st.text() | _INSTANCE_LIKE)
+    def test_parse_instance_total(self, text):
+        try:
+            g = parse_instance(text)
+        except InstanceFormatError:
+            return
+        assert parse_instance(serialize_instance(g)) == g
+
+    @_PARSER_SETTINGS
+    @given(st.text() | _MATCHING_LIKE)
+    def test_parse_matching_total(self, text):
+        try:
+            pairs = parse_matching(text)
+        except InstanceFormatError:
+            return
+        assert parse_matching(serialize_matching(pairs)) == pairs
+
+    @_PARSER_SETTINGS
+    @given(st.integers(1, 8).flatmap(
+        lambda half: st.lists(st.sampled_from((1, -1)),
+                              min_size=pair_count(2 * half), max_size=pair_count(2 * half))
+        .map(lambda signs: SignedCompleteGraph(2 * half, tuple(signs)))))
+    def test_serialize_parse_identity(self, g):
+        assert parse_instance(serialize_instance(g)) == g

@@ -25,7 +25,7 @@ from lowpm import (
     sign_subgraph,
 )
 from lowpm import solver
-from lowpm.solver import _sign_classes, _sign_matrix, lower_bound
+from lowpm.solver import lower_bound
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
@@ -90,12 +90,6 @@ class TestBoundShape:
     def test_clique_bound_past_oracle(self, n, k):
         assert lower_bound(clique_instance(n, k)) == 2 * k
 
-    def test_sign_classes_match_sign_subgraph(self):
-        g = random_with_imbalance(14, 5, 3)
-        plus, minus = _sign_classes(_sign_matrix(g))
-        assert tuple(plus) == sign_subgraph(g, 1).edges
-        assert tuple(minus) == sign_subgraph(g, -1).edges
-
 
 class TestMatchingNumbers:
     @pytest.mark.parametrize("order", [52, 100, 200])
@@ -106,7 +100,7 @@ class TestMatchingNumbers:
         sparse = total - 2 * (3 * order // 4)
         for s in (0, sparse, -sparse):
             g = random_with_imbalance(order, s, order + s)
-            for edges in _sign_classes(_sign_matrix(g)):
+            for edges in (sign_subgraph(g, 1).edges, sign_subgraph(g, -1).edges):
                 reference = nx.Graph()
                 reference.add_nodes_from(range(order))
                 reference.add_edges_from(edges)
@@ -118,9 +112,9 @@ class TestLazyUse:
     def count_calls(self, monkeypatch):
         calls = []
 
-        def counting(g, matrix=None):
+        def counting(g):
             calls.append(g.order)
-            return lower_bound(g, matrix)
+            return lower_bound(g)
 
         monkeypatch.setattr(solver, "lower_bound", counting)
         return calls

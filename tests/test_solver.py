@@ -152,7 +152,7 @@ class TestBudgetsAndDeterminism:
 
         # held at the parity floor, the bound certifies nothing and the
         # plateau walk runs until each restart spends its budget
-        monkeypatch.setattr(solver, "lower_bound", lambda g, matrix=None: 0)
+        monkeypatch.setattr(solver, "lower_bound", lambda g: 0)
         _, report = local_search_min_weight(g, policy)
         assert 0 < report.sideways_moves <= 5 * 3
         assert abs(report.final_weight) == 4
@@ -161,7 +161,7 @@ class TestBudgetsAndDeterminism:
 
     def test_exhausted_plateau_stops_with_no_move(self, monkeypatch):
         g = clique_instance(1, 1)  # all plus: the three matchings weigh 2
-        monkeypatch.setattr(solver, "lower_bound", lambda g, matrix=None: 0)
+        monkeypatch.setattr(solver, "lower_bound", lambda g: 0)
         _, report = local_search_min_weight(g, SearchPolicy(seed=0, restarts=1))
         assert report.stop_reason == "no_move"
         assert (report.lower_bound, report.gap) == (0, 2)
