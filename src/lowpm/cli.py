@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .constructions import clique_instance, proposition2_instance, random_with_imbalance
 from .core import (
+    InstanceFormatError,
     LowpmError,
     parse_instance,
     serialize_instance,
@@ -144,6 +145,10 @@ def _read_instance(path: str):
             text = fh.read()
     except OSError as exc:
         raise LowpmError(f"cannot read instance file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(
+            f"instance file {path} is not UTF-8 text: byte offset {exc.start}"
+        ) from exc
     return parse_instance(text)
 
 

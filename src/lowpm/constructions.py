@@ -22,6 +22,8 @@ occupy the lowest-indexed vertices.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .core import (
     Pair,
     ParameterError,
@@ -130,17 +132,17 @@ def random_with_imbalance(order: int, s: int, seed: int) -> SignedCompleteGraph:
             f"imbalance s={s} must have the same parity as C({order},2)={total}"
         )
     plus = (total + s) // 2
-    rng = SplitMix64(seed)
-    plus_positions = set(rng.sample_indices(total, plus))
-    signs = tuple(1 if i in plus_positions else -1 for i in range(total))
-    return SignedCompleteGraph(order, signs)
+    signs = [-1] * total
+    for i in SplitMix64(seed).sample_indices(total, plus):
+        signs[i] = 1
+    return SignedCompleteGraph(order, tuple(signs))
 
 
 def random_graph(order: int, seed: int) -> SimpleGraph:
     """Random graph on {0,...,order-1}; each edge present with probability 1/2.
 
-    One ``bounded(2)`` draw per pair, in canonical pair order.
+    One ``bounded(2)`` draw per pair, in canonical pair order.  2^64 is
+    even, so ``bounded(2)`` never rejects a word and is its low bit.
     """
-    rng = SplitMix64(seed)
-    edges = tuple(p for p in iter_pairs(order) if rng.bounded(2) == 1)
-    return SimpleGraph(order, edges)
+    bits = [word & 1 for word in SplitMix64(seed)._words(pair_count(order))]
+    return SimpleGraph(order, tuple(compress(iter_pairs(order), bits)))

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, compress, repeat
+from operator import eq
 from typing import Callable, Iterator
 
 Pair = tuple[int, int]
@@ -95,9 +97,7 @@ def pair_row_offset(u: int, order: int) -> int:
 
 def iter_pairs(order: int) -> Iterator[Pair]:
     """Yield all pairs (u, v), u < v, in canonical index order."""
-    for u in range(order):
-        for v in range(u + 1, order):
-            yield (u, v)
+    return combinations(range(order), 2)
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class SignedCompleteGraph:
             raise ParameterError(
                 f"signs has length {len(self.signs)}, expected C({self.order},2)={expected}"
             )
-        if any(s not in (-1, 1) for s in self.signs):
+        if self.signs.count(1) + self.signs.count(-1) != len(self.signs):
             raise ParameterError("every sign must be -1 or +1")
 
     @classmethod
@@ -129,7 +129,7 @@ class SignedCompleteGraph:
 
     @cached_property
     def plus_count(self) -> int:
-        return sum(1 for s in self.signs if s > 0)
+        return self.signs.count(1)
 
     @cached_property
     def minus_count(self) -> int:
@@ -216,8 +216,8 @@ def sign_subgraph(g: SignedCompleteGraph, sign: int) -> SimpleGraph:
     """The spanning subgraph of edges carrying the given sign."""
     if sign not in (-1, 1):
         raise ParameterError(f"sign must be -1 or +1, got {sign}")
-    edges = tuple(p for p, s in zip(iter_pairs(g.order), g.signs) if s == sign)
-    return SimpleGraph(g.order, edges)
+    edges = compress(iter_pairs(g.order), map(eq, g.signs, repeat(sign)))
+    return SimpleGraph(g.order, tuple(edges))
 
 
 def sigma_total(g: SignedCompleteGraph) -> int:
@@ -269,9 +269,12 @@ def _decimal(text: str) -> int | None:
         return None
 
 
+_SIGN_CHARS = {1: "+", -1: "-"}
+
+
 def serialize_instance(g: SignedCompleteGraph) -> str:
     """Three-line signed-k text form, bit-exact (trailing newline included)."""
-    body = "".join("+" if s > 0 else "-" for s in g.signs)
+    body = "".join(map(_SIGN_CHARS.__getitem__, g.signs))
     return f"{FORMAT_HEADER}\norder {g.order}\nsigns {body}\n"
 
 

@@ -18,13 +18,24 @@ Derived procedures are likewise pinned:
 * ``sample_indices(p, c)``: partial Fisher-Yates from the front of
   ``[0, ..., p-1]``; the first ``c`` slots, sorted, are the sample.
 
+Batched draws: ``random_graph`` and ``sample_indices`` take their words
+from one local-variable loop (``SplitMix64._words``) that yields exactly
+the words successive ``next_u64`` calls would, and stores the state back
+when the caller stops.  ``sample_indices`` stops a batch at a word the
+``bounded`` rule rejects, keeps that word drawn and starts the next batch
+after it, so every procedure above draws the same stream as its
+one-word-at-a-time transcription.
+
 Seed streams: a sweep with master seed ``s`` draws one 64-bit word per
 instance from ``SplitMix64(s)`` and uses it as that instance's seed.
 """
 
 from __future__ import annotations
 
-_MASK64 = (1 << 64) - 1
+from typing import Iterator
+
+_SPAN = 1 << 64
+_MASK64 = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -45,11 +56,27 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
+    def _words(self, count: int) -> Iterator[int]:
+        """The next ``count`` outputs of :meth:`next_u64`, drawn in one loop.
+
+        ``state`` is written back when the generator finishes or is closed,
+        so a caller that stops early has drawn exactly the words it took.
+        """
+        state = self.state
+        try:
+            for _ in range(count):
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                yield z ^ (z >> 31)
+        finally:
+            self.state = state
+
     def bounded(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling."""
         if n <= 0:
             raise ValueError(f"bound must be positive, got {n}")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
+        limit = _SPAN - _SPAN % n
         while True:
             word = self.next_u64()
             if word < limit:
@@ -66,7 +93,15 @@ class SplitMix64:
         if not 0 <= count <= population:
             raise ValueError(f"cannot sample {count} of {population}")
         pool = list(range(population))
-        for i in range(count):
-            j = i + self.bounded(population - i)
-            pool[i], pool[j] = pool[j], pool[i]
+        i = 0
+        while i < count:
+            words = self._words(count - i)
+            for word in words:
+                n = population - i
+                if word >= _SPAN - _SPAN % n:
+                    break  # rejected as in bounded(): the next batch starts after it
+                j = i + word % n
+                pool[i], pool[j] = pool[j], pool[i]
+                i += 1
+            words.close()
         return sorted(pool[:count])

@@ -18,7 +18,9 @@ import csv as _csv
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
+from typing import Callable
 
 from . import blossom
 from .constructions import (
@@ -86,13 +88,24 @@ class VerifyReport:
         """No failures and no solver-vs-oracle mismatches."""
         return self.ok and not self.stats.get("solver_mismatches")
 
-    def check(self, instance_text: str, expected: str, observed: str, passed: bool) -> bool:
+    def check(
+        self,
+        instance: SignedCompleteGraph | Callable[[], SignedCompleteGraph],
+        expected: str,
+        observed: str,
+        passed: bool,
+    ) -> bool:
+        """Count one check.  The instance, or the callable that builds it,
+        is serialized into a failure entry only when the check fails."""
         self.tested += 1
         if passed:
             self.passed += 1
         else:
+            if callable(instance):
+                instance = instance()
             self.failures.append(
-                {"instance": instance_text, "expected": expected, "observed": observed}
+                {"instance": serialize_instance(instance), "expected": expected,
+                 "observed": observed}
             )
         return passed
 
@@ -194,23 +207,23 @@ def verify_theorem1(
 
     for inst_seed, prebuilt in instances:
         g = prebuilt if prebuilt is not None else random_with_imbalance(order, 0, inst_seed)
-        text = serialize_instance(g)
         observed_min: int | None = None
         if mode in ("oracle", "both"):
             observed_min, _ = oracle_min_weight(g, oracle_limit)
-            report.check(text, "min_weight 0", f"min_weight {observed_min}", observed_min == 0)
+            report.check(g, "min_weight 0", f"min_weight {observed_min}", observed_min == 0)
         solver_weight: int | None = None
         if mode in ("solver", "both"):
             _, solve = local_search_min_weight(g, SearchPolicy(seed=inst_seed))
             solver_weight = solve.final_weight
             if mode == "solver":
                 report.check(
-                    text, "solver_weight 0", f"solver_weight {solver_weight}",
+                    g, "solver_weight 0", f"solver_weight {solver_weight}",
                     solver_weight == 0,
                 )
             elif abs(solver_weight) != observed_min:
                 mismatches.append(
-                    {"instance": text, "expected": f"solver |weight| {observed_min}",
+                    {"instance": serialize_instance(g),
+                     "expected": f"solver |weight| {observed_min}",
                      "observed": f"solver weight {solver_weight}"}
                 )
         row_min = observed_min if observed_min is not None else abs(solver_weight or 0)
@@ -238,9 +251,8 @@ def verify_prop2(k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> VerifyRepo
     report = VerifyReport(theorem="prop2", params={"k": k}, seed=None)
 
     g = proposition2_instance(k)
-    text = serialize_instance(g)
     total = sigma_total(g)
-    ok = report.check(text, "sigma_total 2", f"sigma_total {total}", total == 2)
+    ok = report.check(g, "sigma_total 2", f"sigma_total {total}", total == 2)
 
     order = k * k + 4
     n = order // 4
@@ -253,7 +265,7 @@ def verify_prop2(k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> VerifyRepo
         observed = (f"min_weight {observed_min} (certified)" if observed_min is not None
                     else f"solver |weight| {abs(solve.final_weight)} above "
                          f"lower bound {solve.lower_bound}")
-    ok = report.check(text, "min_weight 2", observed, observed_min == 2) and ok
+    ok = report.check(g, "min_weight 2", observed, observed_min == 2) and ok
     report.rows.append(
         {"n": n, "k": k, "s": total, "seed": "",
          "min_weight": "" if observed_min is None else observed_min,
@@ -316,10 +328,9 @@ def verify_theorem2(
     for s in plan:
         inst_seed = stream.next_u64()
         g = random_with_imbalance(order, s, inst_seed)
-        text = serialize_instance(g)
         observed_min, _ = oracle_min_weight(g, oracle_limit)
         ok = report.check(
-            text,
+            g,
             f"min_weight <= {threshold}",
             f"min_weight {observed_min}",
             observed_min <= threshold,
@@ -350,13 +361,12 @@ def verify_tightness(n: int, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -
     t0 = time.perf_counter()
     report = VerifyReport(theorem="tightness", params={"n": n, "k": k}, seed=None)
     g = clique_instance(n, k)
-    text = serialize_instance(g)
     order = 4 * n
 
     total = sigma_total(g)
     expected_total = thm2_bound(n, k)
     ok = report.check(
-        text, f"sigma_total {expected_total}", f"sigma_total {total}",
+        g, f"sigma_total {expected_total}", f"sigma_total {total}",
         total == expected_total,
     )
 
@@ -364,7 +374,7 @@ def verify_tightness(n: int, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -
     mm = blossom.maximum_matching(minus.order, minus.edges)
     nu = len(mm)
     ok = report.check(
-        text, f"minus_matching_number {n - k}", f"minus_matching_number {nu}",
+        g, f"minus_matching_number {n - k}", f"minus_matching_number {nu}",
         nu == n - k,
     ) and ok
 
@@ -378,7 +388,7 @@ def verify_tightness(n: int, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -
         observed = (f"min_weight {observed_min} (certified)" if observed_min is not None
                     else f"lower bound {bound}, witness weight {witness}")
     ok = report.check(
-        text, f"min_weight {2 * k}", observed, observed_min == 2 * k,
+        g, f"min_weight {2 * k}", observed, observed_min == 2 * k,
     ) and ok
 
     report.rows.append(
@@ -416,14 +426,14 @@ def verify_erdos_gallai(
     bound = eg_edge_bound(n, k)
 
     extremal = eg_extremal_graph(n, k)
-    extremal_text = serialize_instance(_graph_as_minus_instance(extremal))
+    extremal_instance = partial(_graph_as_minus_instance, extremal)
     report.check(
-        extremal_text, f"edges {bound}", f"edges {extremal.edge_count}",
+        extremal_instance, f"edges {bound}", f"edges {extremal.edge_count}",
         extremal.edge_count == bound,
     )
     nu = blossom.matching_number(extremal.order, extremal.edges)
     extremal_ok = report.check(
-        extremal_text, f"matching_number {n - k}", f"matching_number {nu}", nu == n - k
+        extremal_instance, f"matching_number {n - k}", f"matching_number {nu}", nu == n - k
     )
     report.rows.append(
         {"n": n, "k": k, "s": extremal.edge_count, "seed": "", "min_weight": nu,
@@ -440,7 +450,7 @@ def verify_erdos_gallai(
         if graph.edge_count > bound:
             above_bound += 1
             ok = report.check(
-                serialize_instance(_graph_as_minus_instance(graph)),
+                partial(_graph_as_minus_instance, graph),
                 f"matching_number > {n - k} (edges {graph.edge_count} > bound {bound})",
                 f"matching_number {nu}",
                 nu > n - k,

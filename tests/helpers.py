@@ -8,6 +8,7 @@ recursion) so the two sides cannot share a bug by construction.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 from lowpm import SignedCompleteGraph, sigma_total  # noqa: F401  (re-export convenience)
 
@@ -79,3 +80,58 @@ def crossing_pairings(removed: tuple) -> list[tuple]:
         for p in iter_pairings_desc(verts)
         if not any(e in removed_set for e in p)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Generators, transcribed one word at a time from the procedures pinned in
+# the lowpm.rng module docstring (no batching, no shortcuts).
+
+
+def reference_words(seed: int):
+    """Endless SplitMix64 output stream."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def reference_stream(seed: int, count: int) -> list[int]:
+    """The first ``count`` words of :func:`reference_words`."""
+    return list(islice(reference_words(seed), count))
+
+
+def reference_bounded(words, n: int) -> int:
+    """Reject words >= 2^64 - (2^64 mod n), return ``word mod n``."""
+    while True:
+        word = next(words)
+        if word < 2**64 - 2**64 % n:
+            return word % n
+
+
+def reference_sample_indices(words, population: int, count: int) -> list[int]:
+    """Partial Fisher-Yates from the front; the first ``count`` slots, sorted."""
+    pool = list(range(population))
+    for i in range(count):
+        j = i + reference_bounded(words, population - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:count])
+
+
+def reference_random_with_imbalance(order: int, s: int, seed: int) -> tuple[int, ...]:
+    """Sign vector with (C(order,2)+s)/2 plus positions, sampled as above."""
+    total = order * (order - 1) // 2
+    plus = set(reference_sample_indices(reference_words(seed), total, (total + s) // 2))
+    return tuple(1 if i in plus else -1 for i in range(total))
+
+
+def reference_random_graph(order: int, seed: int) -> tuple:
+    """One ``bounded(2)`` draw per pair, pairs in canonical order."""
+    words = reference_words(seed)
+    return tuple(
+        (u, v) for u in range(order) for v in range(u + 1, order)
+        if reference_bounded(words, 2) == 1
+    )

@@ -1,12 +1,14 @@
 """General-graph maximum matching against brute force, plus the
 sign-restricted wrappers built on it."""
 
+import networkx as nx
 import pytest
 
 from lowpm import (
     SignedCompleteGraph,
     SplitMix64,
     clique_instance,
+    eg_extremal_graph,
     matching_number,
     max_matching,
     maximum_matching,
@@ -82,6 +84,66 @@ class TestMaximumMatching:
         assert maximum_matching(graph.order, graph.edges) == maximum_matching(
             graph.order, graph.edges
         )
+
+
+def networkx_matching_number(order, edges):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(order))
+    graph.add_edges_from(edges)
+    return len(nx.max_weight_matching(graph, maxcardinality=True))
+
+
+def assert_maximum(order, edges):
+    result = maximum_matching(order, edges)
+    assert_valid_matching(order, edges, result)
+    assert len(result) == networkx_matching_number(order, edges)
+
+
+class TestHungarianTreePruning:
+    """A failed search deletes its alternating tree; the size must not move.
+
+    Exposed vertices that fail to augment are where Hungarian trees form:
+    the plus-clique minus class (n-k hubs joined to everything) and its
+    complement, and sparse graphs with unmatched vertices.
+    """
+
+    @pytest.mark.parametrize("n", list(range(1, 13)))
+    def test_clique_sign_classes_and_eg_extremal(self, n):
+        for k in range(1, n + 1):
+            g = clique_instance(n, k)
+            for sign in (1, -1):
+                assert_maximum(g.order, sign_subgraph(g, sign).edges)
+            extremal = eg_extremal_graph(n, k)
+            assert_maximum(extremal.order, extremal.edges)
+
+    def test_sparse_odd_cycles_with_chords(self):
+        # 139 of the 172 failed searches on these graphs end holding a
+        # contracted blossom, which is then deleted with its tree
+        rng = SplitMix64(2024)
+        for order in range(20, 41):
+            for _ in range(3):
+                edges = set()
+                start = 0
+                while start + 3 <= order:
+                    length = 3 + 2 * rng.bounded(3)
+                    cycle = list(range(start, min(start + length, order)))
+                    if len(cycle) % 2 == 0:
+                        cycle.pop()
+                    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                        edges.add((min(a, b), max(a, b)))
+                    start += length
+                for _ in range(order // 5):
+                    a, b = rng.bounded(order), rng.bounded(order)
+                    if a != b:
+                        edges.add((min(a, b), max(a, b)))
+                assert_maximum(order, tuple(sorted(edges)))
+
+    @pytest.mark.parametrize("minus_edges", [400, pair_count(400) // 2])
+    def test_order_400_random_sign_class(self, minus_edges):
+        g = random_with_imbalance(400, pair_count(400) - 2 * minus_edges, 400)
+        minus = sign_subgraph(g, -1)
+        assert minus.edge_count == minus_edges
+        assert_maximum(minus.order, minus.edges)
 
 
 class TestSignRestricted:

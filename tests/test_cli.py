@@ -102,6 +102,15 @@ class TestSolveAndOracle:
         assert code == 2
         assert "line 2" in err
 
+    def test_non_utf8_instance_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.sk"
+        path.write_bytes(b"signed-k 1\norder 4\nsigns \xff\xfe\n")
+        code, out, err = run(capsys, "oracle", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(path) in err and "byte offset 25" in err
+
     def test_oracle_limit_warning(self, tmp_path, capsys):
         path = tmp_path / "inst.sk"
         run(capsys, "gen", "random", "--order", "8", "--imbalance", "0", "-o", str(path))

@@ -20,7 +20,12 @@ from lowpm import (
     thm2_bound,
 )
 
-from helpers import brute_matching_number, brute_perfect_matchings
+from helpers import (
+    brute_matching_number,
+    brute_perfect_matchings,
+    reference_random_graph,
+    reference_random_with_imbalance,
+)
 
 
 class TestBoundQuery:
@@ -222,11 +227,23 @@ class TestRandomWithImbalance:
         assert plus_seen == set(range(28))
         assert minus_seen == set(range(28))
 
+    @pytest.mark.parametrize("order", [8, 10, 16, 40, 200])
+    def test_matches_reference_transcription(self, order):
+        total = comb(order, 2)
+        for s in (total % 2, total, -total, total - 2 * order, 2 * order - total):
+            g = random_with_imbalance(order, s, order + s)
+            assert g.signs == reference_random_with_imbalance(order, s, order + s), (order, s)
+
 
 class TestRandomGraph:
     def test_deterministic(self):
         assert random_graph(9, 4) == random_graph(9, 4)
         assert random_graph(9, 4) != random_graph(9, 5)
+
+    @pytest.mark.parametrize("order", [0, 1, 8, 9, 31, 200])
+    def test_matches_reference_transcription(self, order):
+        for seed in (0, 5, 2**64 - 1):
+            assert random_graph(order, seed).edges == reference_random_graph(order, seed)
 
     def test_edge_density_sane(self):
         counts = [random_graph(8, seed).edge_count for seed in range(50)]

@@ -83,8 +83,14 @@ class TestGraphType:
             SignedCompleteGraph(8, (1,) * 27)
 
     def test_rejects_bad_entries(self):
-        with pytest.raises(ParameterError):
-            SignedCompleteGraph(4, (1, -1, 0, 1, 1, -1))
+        for bad in (0, 2, -2, "+", 1.5, [1], None):
+            with pytest.raises(ParameterError, match="every sign must be -1 or \\+1"):
+                SignedCompleteGraph(4, (1, -1, bad, 1, 1, -1))
+
+    def test_accepts_bool_true_as_plus(self):
+        g = SignedCompleteGraph(4, (True, -1, -1, 1, 1, -1))
+        assert g.plus_count == 3 and g.minus_count == 3
+        assert serialize_instance(g) == "signed-k 1\norder 4\nsigns +--++-\n"
 
     def test_hashable_and_equal(self):
         a = random_with_imbalance(8, 2, 7)
@@ -205,10 +211,13 @@ class TestPerfectMatchingType:
 class TestSimpleGraph:
     def test_validation(self):
         SimpleGraph(4, ((0, 1), (1, 3)))
-        with pytest.raises(InvalidPairError):
-            SimpleGraph(4, ((0, 4),))
-        with pytest.raises(ParameterError):
-            SimpleGraph(4, ((1, 3), (0, 1)))
+        SimpleGraph(4, ())
+        for edges in (((0, 4),), ((2, 1),), ((0, 1), (2, 2)), ((-1, 2),), ((0, 1), (3, 2))):
+            with pytest.raises(InvalidPairError, match=r"edge \(-?\d,\d\) out of range"):
+                SimpleGraph(4, edges)
+        for edges in (((1, 3), (0, 1)), ((0, 1), (0, 1)), ((0, 2), (0, 1), (0, 3))):
+            with pytest.raises(ParameterError, match="strictly sorted"):
+                SimpleGraph(4, edges)
 
     def test_sign_subgraph(self):
         g = k4_two_plus()

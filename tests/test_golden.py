@@ -1,0 +1,49 @@
+"""Determinism contract: the same argv and seed give byte-identical output.
+
+Each case's stdout (``elapsed_ms`` removed from JSON reports) is pinned by
+its sha256 digest.  A change to the RNG stream, a generator, the blossom
+matching sizes, the solver's descent or a report's layout fails here.  When
+such a change is intended, record the new digests and say why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from lowpm.cli import main
+
+GOLDEN = {
+    ("gen", "random", "--order", "40", "--imbalance", "-6", "--seed", "11"):
+        "340a2e8597fd8863d0800107a5bdd9bec50cc3817f1e1027242e87f25ae2a87b",
+    ("verify", "thm1", "--n", "10", "--mode", "solver", "--samples", "30", "--seed", "5",
+     "--format", "json"):
+        "573044e5104378f440ab84fd78fada43380eb5637bf3214bb4eeae2e28951a3b",
+    ("verify", "eg", "--n", "12", "--k", "1", "--samples", "60", "--seed", "5",
+     "--format", "csv"):
+        "d612ac157727d4fb9d06e58de489714da572a0c3f5856991ea4f4648ccb07164",
+    ("sweep", "tight", "--n-min", "4", "--n-max", "5", "--k-min", "2", "--k-max", "3"):
+        "bc1e689ba9a73f41dc10835eaa05eff62bdb2f5d6e6357c5bb4571bd53478901",
+    ("verify", "thm2", "--n", "3", "--k", "2", "--samples", "20", "--seed", "5",
+     "--format", "json"):
+        "966ff07a7e681af39cb07cb9e60e56d004cb6cb093a2ae93ee84877531880a88",
+}
+
+
+def stdout_digest(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    out = buf.getvalue()
+    if "json" in argv:
+        payload = json.loads(out)
+        payload.pop("elapsed_ms")
+        out = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: " ".join(argv[:2]))
+def test_stdout_digest(argv):
+    assert stdout_digest(argv) == GOLDEN[argv]

@@ -4,6 +4,8 @@ import pytest
 
 from lowpm import SplitMix64
 
+from helpers import reference_sample_indices, reference_stream, reference_words
+
 # First outputs of the reference SplitMix64 for seed 0, as published with
 # the original C implementation.
 SEED0_OUTPUTS = [
@@ -12,20 +14,6 @@ SEED0_OUTPUTS = [
     0x06C45D188009454F,
     0xF88BB8A8724C81EC,
 ]
-
-
-def reference_stream(seed, count):
-    """Independent inline transcription of the reference algorithm."""
-    mask = (1 << 64) - 1
-    out = []
-    state = seed & mask
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31))
-    return out
 
 
 def test_seed0_reference_vectors():
@@ -81,3 +69,45 @@ def test_sample_indices_covers_population_across_seeds():
     for seed in range(50):
         hits.update(SplitMix64(seed).sample_indices(28, 14))
     assert hits == set(range(28))
+
+
+@pytest.mark.parametrize("population,count", [(1, 1), (5, 3), (28, 14), (100, 99), (1225, 600)])
+def test_sample_indices_matches_reference(population, count):
+    for seed in (0, 3, 2**64 - 1):
+        rng = SplitMix64(seed)
+        words = reference_words(seed)
+        assert rng.sample_indices(population, count) == reference_sample_indices(
+            words, population, count)
+        assert rng.next_u64() == next(words)
+
+
+def _unxorshift(y, shift):
+    z = y
+    for _ in range(64 // shift + 1):
+        z = y ^ (z >> shift)
+    return z
+
+
+def _state_drawing(word, ahead):
+    """A seed whose ``ahead``-th word is ``word``: the output mix inverted."""
+    mask = (1 << 64) - 1
+    z = _unxorshift(word, 31)
+    z = _unxorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    z = _unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+    return (z - ahead * 0x9E3779B97F4A7C15) & mask
+
+
+@pytest.mark.parametrize("accepted_before", [0, 1, 3])
+def test_sample_indices_rejection_matches_reference(accepted_before):
+    # 2^64 mod 3 = 1, so bounded(3) rejects exactly the word 2^64 - 1;
+    # place it where the draw for a population of 3 remaining slots falls
+    top = (1 << 64) - 1
+    seed = _state_drawing(top, accepted_before + 1)
+    assert reference_stream(seed, accepted_before + 1)[-1] == top
+    population = accepted_before + 3
+    for count in range(accepted_before + 1, population + 1):
+        rng = SplitMix64(seed)
+        words = reference_words(seed)
+        assert rng.sample_indices(population, count) == reference_sample_indices(
+            words, population, count)
+        assert rng.next_u64() == next(words)

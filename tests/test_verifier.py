@@ -175,7 +175,7 @@ class TestReportShape:
     def test_failure_entries_round_trip(self):
         report = VerifyReport(theorem="demo", params={}, seed=0)
         g = random_with_imbalance(8, 0, 1)
-        report.check(serialize_instance(g), "x 1", "x 2", passed=False)
+        report.check(g, "x 1", "x 2", passed=False)
         assert not report.ok
         entry = report.failures[0]
         assert parse_instance(entry["instance"]) == g
@@ -184,7 +184,7 @@ class TestReportShape:
     def test_text_summary_mentions_failures(self):
         report = VerifyReport(theorem="demo", params={"n": 1}, seed=0)
         g = random_with_imbalance(8, 0, 1)
-        report.check(serialize_instance(g), "min_weight 0", "min_weight 2", passed=False)
+        report.check(g, "min_weight 0", "min_weight 2", passed=False)
         text = report.to_text()
         assert "failures    1" in text
         assert "min_weight 2" in text
