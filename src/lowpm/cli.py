@@ -68,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="exchange local search")
     solve.add_argument("instance", help="instance file in signed-k format")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--restarts", type=int, default=8)
-    solve.add_argument("--sideways", type=int, default=256)
     solve.add_argument("--improvement", choices=("first", "best"), default="first")
     solve.add_argument("--check-oracle", action="store_true",
                        help="also run the exact oracle and compare")
@@ -176,12 +174,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _read_instance(args.instance)
-    policy = SearchPolicy(
-        seed=args.seed,
-        improvement=args.improvement,
-        sideways_budget=args.sideways,
-        restarts=args.restarts,
-    )
+    policy = SearchPolicy(seed=args.seed, improvement=args.improvement)
     matching, report = local_search_min_weight(g, policy)
     exit_code = 0
     if args.check_oracle:
@@ -203,8 +196,6 @@ def _cmd_solve(args) -> int:
         print(f"final_weight {report.final_weight}")
         for r, count in sorted(report.moves_applied.items()):
             print(f"moves_r{r} {count}")
-        print(f"sideways_moves {report.sideways_moves}")
-        print(f"restarts_used {report.restarts}")
         print(f"stop_reason {report.stop_reason}")
         print(f"lower_bound {report.lower_bound}")
         print(f"gap {report.gap}")
@@ -275,6 +266,10 @@ def _sweep_cell(job: tuple) -> tuple[int, int, list[dict], bool]:
 
 
 def _cmd_sweep(args) -> int:
+    if args.samples < 1:
+        raise LowpmError(f"--samples must be a positive integer, got {args.samples}")
+    if args.jobs < 1:
+        raise LowpmError(f"--jobs must be a positive integer, got {args.jobs}")
     _warn_oracle_limit(args.oracle_limit)
     jobs = []
     for n in range(args.n_min, args.n_max + 1):

@@ -160,7 +160,7 @@ class PerfectMatching:
 
     Canonical form: each pair is (a, b) with a < b, and pairs are sorted
     ascending by first endpoint.  Canonical form is unique per matching, so
-    equality and hashing work out of the box (used for visited sets).
+    equality and hashing work out of the box.
     """
 
     pairs: tuple[Pair, ...]

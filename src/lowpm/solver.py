@@ -10,15 +10,11 @@ move, for the search and for the public :func:`enumerate_exchanges`; it
 reads signs straight from the instance's flat ``signs`` tuple through
 per-row offsets computed once per call.
 
-Plateaus matter: an optimal matching is often reachable only through
-weight-preserving exchanges, so the search walks plateaus under a sideways
-budget with a visited set of canonical matchings to prevent cycling.
-
-The search stops as soon as |weight| meets a certified lower bound
-(:func:`lower_bound`), computed from the matching numbers of the two sign
-classes and the two-block parity obstruction.  Instances whose minimum sits
-above the parity floor, such as the extremal families, then end on their
-first optimal matching instead of spending every plateau budget.
+A descent that stalls above the parity floor computes the certified
+:func:`lower_bound` and stops if it meets it.  Otherwise the interpolation
+walk swaps the least-weight matching into the greatest-weight one two edges
+at a time; each swap moves the weight by at most 4, so the walk passes
+|weight| <= 2 when the two straddle 0.  A last descent starts from its best.
 
 The oracle computes the exact minimum of |weight| over all perfect
 matchings with a bitmask memo of the achievable weights of every vertex set
@@ -34,7 +30,7 @@ given instance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -92,26 +88,26 @@ class Exchange:
 
 @dataclass
 class SolveReport:
-    """Trace of one local-search run (all restarts included).
+    """Trace of one local-search run.
 
-    ``stop_reason`` says why the search ended: ``floor`` (|weight| reached
-    the parity floor), ``certified`` (|weight| reached :func:`lower_bound`),
-    ``no_move`` (every restart ran out of unvisited moves) or ``budget``
-    (some restart spent its sideways budget).  ``lower_bound`` is the floor
-    in the first case and the computed bound otherwise; ``gap`` is
-    |final_weight| - lower_bound, so 0 means the result is proven optimal.
+    ``stop_reason`` is ``floor`` (|weight| reached the parity floor),
+    ``certified`` (|weight| reached :func:`lower_bound`) or ``no_move``
+    (uncertified after the walk).  ``lower_bound`` is the floor in the first
+    case and the computed bound otherwise; ``gap`` is |final_weight| -
+    lower_bound, so 0 means the result is proven optimal.
     """
 
     initial_weight: int
     final_weight: int
     moves_applied: dict[int, int]
-    sideways_moves: int
-    restarts: int
     stop_reason: str
     lower_bound: int
     oracle_checked: bool = False
     oracle_min_weight: int | None = None
     elapsed_ms: int = 0
+    # read by perfbench/tracing.py; always 0, as the search has no plateau walk or restarts
+    sideways_moves = 0
+    restarts = 0
 
     @property
     def gap(self) -> int:
@@ -122,8 +118,6 @@ class SolveReport:
             "initial_weight": self.initial_weight,
             "final_weight": self.final_weight,
             "moves_applied": {str(r): c for r, c in sorted(self.moves_applied.items())},
-            "sideways_moves": self.sideways_moves,
-            "restarts": self.restarts,
             "stop_reason": self.stop_reason,
             "lower_bound": self.lower_bound,
             "gap": self.gap,
@@ -135,19 +129,16 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SearchPolicy:
-    """Local search knobs; defaults are the documented desk-scale settings."""
+    """Local search settings: the seed of the random start (unused when
+    ``start`` is given) and the improvement rule within one r level."""
 
     seed: int = 0
     start: PerfectMatching | None = None
     improvement: str = "first"  # "first" or "best", within one r level
-    sideways_budget: int = 256
-    restarts: int = 8
 
     def __post_init__(self) -> None:
         if self.improvement not in ("first", "best"):
             raise ParameterError(f"improvement must be 'first' or 'best', got {self.improvement!r}")
-        if self.sideways_budget < 0 or self.restarts < 0:
-            raise ParameterError("budgets must be non-negative")
 
 
 def _pairings(verts: tuple[int, ...]) -> Iterator[tuple[Pair, ...]]:
@@ -261,115 +252,104 @@ def _find_improving(signs, off, edges, weight, rule):
     return None
 
 
-def _find_sideways(signs, off, edges, weight, visited):
-    current_abs = abs(weight)
-    for r in R_LEVELS:
-        if 2 * r > 2 * len(edges):
+def _descend(signs, off, edges, w, stop_at, rule, moves_applied):
+    """Apply improving moves until |w| <= stop_at or none is left."""
+    while abs(w) > stop_at:
+        move = _find_improving(signs, off, edges, w, rule)
+        if move is None:
             break
-        for idxs, added, delta in _iter_raw_moves(signs, off, edges, r):
-            if abs(weight + delta) != current_abs:
-                continue
-            new_edges = _edges_after(edges, idxs, added)
-            if new_edges not in visited:
-                return new_edges, delta, r
-    return None
+        idxs, added, delta = move
+        edges = _edges_after(edges, idxs, added)
+        w += delta
+        moves_applied[len(idxs)] += 1
+    return edges, w
+
+
+def _mates(pairs: tuple[Pair, ...]) -> list[int]:
+    mate = [0] * (2 * len(pairs))
+    for a, b in pairs:
+        mate[a], mate[b] = b, a
+    return mate
+
+
+def _interpolation_walk(signs, off, mate, target) -> Iterator[int]:
+    """Turn the mate array ``mate`` into ``target`` in place; yield each weight.
+
+    For each vertex a whose mate b is not c = target[a], the swap (a, b),
+    (c, d) -> (a, c), (b, d) with d = mate[c] fixes a's edge and no earlier
+    one: at most order/2 swaps, each moving the weight by at most 4.  The
+    first weight yielded is the start's.
+    """
+    def sign(u, v):
+        return signs[off[u] + v] if u < v else signs[off[v] + u]
+
+    w = sum(signs[off[a] + b] for a, b in enumerate(mate) if a < b)
+    yield w
+    for a, c in enumerate(target):
+        b = mate[a]
+        if b != c:
+            d = mate[c]
+            w += sign(a, c) + sign(b, d) - sign(a, b) - sign(c, d)
+            mate[a], mate[c], mate[b], mate[d] = c, a, d, b
+            yield w
 
 
 def local_search_min_weight(
     g: SignedCompleteGraph, policy: SearchPolicy | None = None
 ) -> tuple[PerfectMatching, SolveReport]:
-    """Minimize |weight| by exchange local search with restarts.
+    """Minimize |weight|: descent, certified bound, interpolation walk.
 
-    Every restart ends in a matching with no improving exchange of r <= 4
-    (sideways moves are only taken when no improving move exists), so the
-    returned best-of-restarts is always such a local optimum.  The search
-    stops early once |weight| hits the parity floor (0 when order/2 is
-    even, else 1), which no matching can beat.  The first time a descent
-    stalls above the floor, :func:`lower_bound` is computed (once per solve)
-    and from then on the search also stops as soon as |weight| meets it.
+    Descends by improving exchanges of r <= 4 from ``policy.start`` or one
+    seeded random matching, stopping at the parity floor (0 when order/2 is
+    even, else 1).  A stall above it computes :func:`lower_bound` and stops
+    there if met; otherwise the walk from the least- to the greatest-weight
+    matching and a second descent from its best matching end the solve.
+    The gap is then 0 when order/2 is odd and at most 2 otherwise.
     """
     if g.order < 4 or g.order % 2:
         raise ParameterError(f"local search needs even order >= 4, got {g.order}")
     policy = policy or SearchPolicy()
+    if policy.start is not None and policy.start.order != g.order:
+        raise MatchingError("start matching does not cover the graph's vertex set")
     floor = 0 if (g.order // 2) % 2 == 0 else 1
-    rng = SplitMix64(policy.seed)
     signs, off = g.signs, _row_offsets(g.order)
     t0 = time.perf_counter()
 
+    start = policy.start or random_perfect_matching(g.order, SplitMix64(policy.seed))
+    initial_weight = sum(signs[off[a] + b] for a, b in start.pairs)
     moves_applied = {r: 0 for r in R_LEVELS}
-    sideways_total = 0
-    restarts_used = 0
-    initial_weight = 0
-    best_edges: tuple[Pair, ...] | None = None
-    best_w = 0
-    # the weight to stop at: the floor until a stall pays for lower_bound
-    target = floor
-    bound: int | None = None
-    budget_hit = False
+    edges, w = _descend(signs, off, start.pairs, initial_weight, floor,
+                        policy.improvement, moves_applied)
+    bound = floor
+    if abs(w) > floor:
+        bound, minus_mm, plus_mm = _bound_parts(g)
+        if abs(w) > bound:
+            mate = _mates(complete_sign_matching(g, minus_mm, -1).pairs)
+            # with lo > 0 the least-weight matching is already exact: no walk
+            target = mate if plus_mm is None else _mates(
+                complete_sign_matching(g, plus_mm, 1).pairs)
+            best = None
+            for walk_w in _interpolation_walk(signs, off, mate, target):
+                if best is None or abs(walk_w) < abs(w):
+                    best, w = mate[:], walk_w
+            edges = tuple((a, b) for a, b in enumerate(best) if a < b)
+            edges, w = _descend(signs, off, edges, w, bound, policy.improvement, moves_applied)
 
-    for attempt in range(policy.restarts + 1):
-        if attempt == 0 and policy.start is not None:
-            if policy.start.order != g.order:
-                raise MatchingError("start matching does not cover the graph's vertex set")
-            edges = policy.start.pairs
-        else:
-            edges = random_perfect_matching(g.order, rng).pairs
-        if attempt > 0:
-            restarts_used += 1
-        w = sum(signs[off[a] + b] for a, b in edges)
-        if attempt == 0:
-            initial_weight = w
-
-        visited = {edges}
-        sideways_used = 0
-        while abs(w) > target:
-            move = _find_improving(signs, off, edges, w, policy.improvement)
-            if move is not None:
-                idxs, added, delta = move
-                edges = _edges_after(edges, idxs, added)
-                w += delta
-                moves_applied[len(idxs)] += 1
-                visited.add(edges)
-                continue
-            if bound is None:
-                bound = target = lower_bound(g)
-                if abs(w) <= target:
-                    break
-            if sideways_used >= policy.sideways_budget:
-                budget_hit = True
-                break
-            sideways = _find_sideways(signs, off, edges, w, visited)
-            if sideways is None:
-                break
-            edges, delta, _ = sideways
-            w += delta
-            sideways_used += 1
-            sideways_total += 1
-            visited.add(edges)
-
-        if best_edges is None or abs(w) < abs(best_w):
-            best_edges, best_w = edges, w
-        if abs(best_w) <= target:
-            break
-
-    if abs(best_w) <= floor:
-        stop_reason, bound = "floor", floor
-    elif abs(best_w) <= target:
+    if abs(w) <= floor:
+        stop_reason = "floor"
+    elif abs(w) <= bound:
         stop_reason = "certified"
     else:
-        stop_reason = "budget" if budget_hit else "no_move"
+        stop_reason = "no_move"
     report = SolveReport(
         initial_weight=initial_weight,
-        final_weight=best_w,
+        final_weight=w,
         moves_applied=moves_applied,
-        sideways_moves=sideways_total,
-        restarts=restarts_used,
         stop_reason=stop_reason,
         lower_bound=bound,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
     )
-    assert best_edges is not None
-    return PerfectMatching(best_edges), report
+    return PerfectMatching(edges), report
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +486,22 @@ def lower_bound(g: SignedCompleteGraph) -> int:
     of class edges with the parity of |A|; weights breaking that parity are
     dropped.  The bound is the smallest |weight| left on the lattice.
     """
+    return _bound_parts(g)[0]
+
+
+def _bound_parts(g: SignedCompleteGraph):
+    """(:func:`lower_bound`, maximum minus-class matching, maximum plus-class
+    matching or None when lo > 0): the bound and the walk's two ends."""
     order = g.order
     half = order // 2
     plus, minus = sign_subgraph(g, 1).edges, sign_subgraph(g, -1).edges
-    lo = half - 2 * len(blossom.maximum_matching(order, minus))
+    minus_mm = blossom.maximum_matching(order, minus)
+    lo = half - 2 * len(minus_mm)
     hi = half  # all plus; nu_plus only matters when the lattice may reach 0
+    plus_mm = None
     if lo <= 0:
-        hi = 2 * len(blossom.maximum_matching(order, plus)) - half
+        plus_mm = blossom.maximum_matching(order, plus)
+        hi = 2 * len(plus_mm) - half
     # (sign, parity): a matching's count of ``sign`` edges, (half + sign*w)/2,
     # must have this parity
     parities = []
@@ -520,11 +509,12 @@ def lower_bound(g: SignedCompleteGraph) -> int:
         size_a = _bipartite_side(order, edges)
         if size_a is not None:
             parities.append((sign, size_a % 2))
-    return min(
+    bound = min(
         abs(w)
         for w in range(lo, hi + 1, 2)
         if all((half + sign * w) // 2 % 2 == parity for sign, parity in parities)
     )
+    return bound, minus_mm, plus_mm
 
 
 def max_matching(g: SignedCompleteGraph, sign: int) -> tuple[Pair, ...]:

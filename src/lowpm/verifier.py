@@ -157,6 +157,12 @@ def _finish(report: VerifyReport, t0: float) -> VerifyReport:
     return report
 
 
+def _require_samples(samples: int) -> None:
+    # a sweep of zero instances would report a pass that checked nothing
+    if samples < 1:
+        raise ParameterError(f"samples must be a positive integer, got {samples}")
+
+
 def _balanced_k4_instances():
     """All C(6,3)=20 sign vectors of K_4 with imbalance 0, lexicographic."""
     for plus_positions in combinations(range(6), 3):
@@ -185,6 +191,8 @@ def verify_theorem1(
         raise ParameterError(f"mode must be one of {VERIFY_MODES}, got {mode!r}")
     if exhaustive and n != 1:
         raise ParameterError("exhaustive mode is only available for n=1")
+    if not exhaustive:
+        _require_samples(samples)
     order = 4 * n
     if mode in ("oracle", "both") and order > oracle_limit:
         raise ParameterError(
@@ -297,6 +305,7 @@ def verify_theorem2(
         raise ParameterError(f"n must be a positive integer, got {n}")
     if grid not in ("full", "sampled"):
         raise ParameterError(f"grid must be 'full' or 'sampled', got {grid!r}")
+    _require_samples(samples)
     order = 4 * n
     if order > oracle_limit:
         raise ParameterError(f"order {order} exceeds oracle limit {oracle_limit}")
@@ -418,6 +427,7 @@ def verify_erdos_gallai(
     embed the graph as the minus subgraph of a signed instance so they
     round-trip through the instance parser.
     """
+    _require_samples(samples)
     t0 = time.perf_counter()
     report = VerifyReport(
         theorem="erdos_gallai", params={"n": n, "k": k, "samples": samples}, seed=seed

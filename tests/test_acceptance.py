@@ -239,7 +239,7 @@ def test_criterion_9_solver_reaches_zero_on_balanced_corpus():
                 name.write_text(serialize_instance(g))
                 failures.append(str(name))
     ok = not failures
-    detail = (f"default budgets reached weight 0 on all {len(balanced_corpus())} "
+    detail = (f"the solver reached weight 0 on all {len(balanced_corpus())} "
               f"balanced instances of orders 4/8/12")
     if failures:
         detail = f"solver missed zero; artifacts: {', '.join(failures)}"

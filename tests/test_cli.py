@@ -69,8 +69,7 @@ class TestSolveAndOracle:
     def test_solve_json_format(self, tmp_path, capsys):
         path = tmp_path / "inst.sk"
         run(capsys, "gen", "prop2", "--k", "2", "-o", str(path))
-        code, out, _ = run(capsys, "solve", str(path), "--seed", "1",
-                           "--restarts", "1", "--sideways", "8", "--format", "json")
+        code, out, _ = run(capsys, "solve", str(path), "--seed", "1", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert abs(payload["final_weight"]) == 2
@@ -156,6 +155,25 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "thm1", "--n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("thm1", "--n", "1", "--samples", "0"),
+        ("thm1", "--n", "1", "--samples", "-3"),
+        ("thm2", "--n", "1", "--k", "2", "--grid", "full", "--samples", "0"),
+        ("thm2", "--n", "1", "--k", "2", "--samples", "-3"),
+        ("eg", "--n", "2", "--k", "1", "--samples", "0"),
+    ])
+    def test_no_samples_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "samples must be a positive integer" in err
+
+    def test_thm1_exhaustive_ignores_samples(self, capsys):
+        code, out, _ = run(capsys, "verify", "thm1", "--n", "1", "--exhaustive",
+                           "--samples", "0")
+        assert code == 0
+        assert "tested      20" in out
+
 
 class TestSweep:
     def test_thm2_sweep_csv(self, capsys):
@@ -173,6 +191,15 @@ class TestSweep:
         code2, out2, _ = run(capsys, *args, "--jobs", "2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"),
+                                            ("--jobs", "0"), ("--jobs", "-1")])
+    def test_nonpositive_counts_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "sweep", "thm2", "--n-max", "1", "--k-max", "2",
+                             flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be a positive integer, got {value}" in err
 
     def test_empty_grid_exit_2(self, capsys):
         code, _, err = run(capsys, "sweep", "thm2", "--n-min", "3", "--n-max", "2",

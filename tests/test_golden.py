@@ -47,3 +47,21 @@ def stdout_digest(argv) -> str:
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: " ".join(argv[:2]))
 def test_stdout_digest(argv):
     assert stdout_digest(argv) == GOLDEN[argv]
+
+
+# solve reads its instance from a file, so each case names the ``gen`` arguments
+# that write it; the path never reaches stdout
+SOLVE_GOLDEN = {
+    ("clique", "--n", "3", "--k", "2"):
+        "13de023d2892bf8320077078c5a29469559fa32eb4f5c8767bc65cacc622c664",
+    ("random", "--order", "40", "--imbalance", "-6", "--seed", "11"):
+        "75043ea1e2b4e2b49bcc71e825d7494cacc3d7ac5b2b589fdb2db7d461828d26",
+}
+
+
+@pytest.mark.parametrize("family", list(SOLVE_GOLDEN), ids=lambda family: family[0])
+def test_solve_stdout_digest(family, tmp_path):
+    path = tmp_path / "instance.sk"
+    assert main(["gen", *family, "-o", str(path)]) == 0
+    argv = ("solve", str(path), "--seed", "3", "--format", "json")
+    assert stdout_digest(argv) == SOLVE_GOLDEN[family]

@@ -1,9 +1,11 @@
-"""The certified lower bound: differential checks against the exact oracle.
+"""The certified lower bound and the interpolation walk, checked differentially.
 
 ``lower_bound`` is what lets the local search stop above the parity floor,
-so any instance where it disagrees with the oracle is kept: it is written
-to ``tests/artifacts/`` as a named ``.sk`` file and the test fails.  A bound
-above the oracle is unsound; one below it would leave a solve uncertified.
+and the walk is what takes a stalled search to within 2 of it, so any
+instance where either disagrees with the oracle (or the walk with its
+guarantee) is kept: it is written to ``tests/artifacts/`` as a named
+``.sk`` file and the test fails.  A bound above the oracle is unsound; one
+below it would leave a solve uncertified.
 """
 
 from pathlib import Path
@@ -12,22 +14,34 @@ import networkx as nx
 import pytest
 
 from lowpm import (
+    PerfectMatching,
     SearchPolicy,
     SignedCompleteGraph,
+    SplitMix64,
     clique_instance,
     local_search_min_weight,
     matching_number,
+    max_matching,
     oracle_min_weight,
     pair_count,
     proposition2_instance,
     random_with_imbalance,
     serialize_instance,
+    sigma_matching,
     sign_subgraph,
 )
-from lowpm import solver
+from lowpm import blossom, solver
 from lowpm.solver import lower_bound
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
+
+
+def keep_artifact(stem, g):
+    """Write ``g`` to ``tests/artifacts/{stem}.sk`` and return the file name."""
+    ARTIFACT_DIR.mkdir(exist_ok=True)
+    path = ARTIFACT_DIR / f"{stem}.sk"
+    path.write_text(serialize_instance(g))
+    return path.name
 
 
 def assert_bound_matches_oracle(cases):
@@ -38,11 +52,48 @@ def assert_bound_matches_oracle(cases):
         exact, _ = oracle_min_weight(g)
         if bound != exact:
             kind = "unsound" if bound > exact else "loose"
-            ARTIFACT_DIR.mkdir(exist_ok=True)
-            path = ARTIFACT_DIR / f"lower_bound_{kind}_{name}.sk"
-            path.write_text(serialize_instance(g))
-            failures.append(f"{path.name}: bound {bound}, oracle {exact}")
+            failures.append(f"{keep_artifact(f'lower_bound_{kind}_{name}', g)}: "
+                            f"bound {bound}, oracle {exact}")
     assert not failures, "; ".join(failures)
+
+
+def flipped(g, flips, seed):
+    """``g`` with ``flips`` seeded sign flips (a pair drawn twice flips back)."""
+    rng = SplitMix64(seed)
+    signs = list(g.signs)
+    for _ in range(flips):
+        i = rng.bounded(len(signs))
+        signs[i] = -signs[i]
+    return SignedCompleteGraph(g.order, tuple(signs))
+
+
+def flipped_extremal_instances(large=False, seeds=4):
+    """The extremal families with 0-5 seeded sign flips: orders 4-16, or 20-40."""
+    if large:
+        bases = [(f"prop2_k{k}", proposition2_instance(k)) for k in (4, 6)]
+        bases += [(f"clique_n{n}_k{k}", clique_instance(n, k))
+                  for n, k in ((5, 1), (5, 3), (5, 5), (7, 4), (10, 2), (10, 7), (10, 10))]
+    else:
+        bases = [("prop2_k2", proposition2_instance(2))]
+        bases += [(f"clique_n{n}_k{k}", clique_instance(n, k))
+                  for n in range(1, 5) for k in range(1, n + 1)]
+    for name, g in bases:
+        for flips in range(6):
+            for seed in range(seeds if flips else 1):
+                yield f"{name}_flips{flips}_seed{seed}", flipped(g, flips, seed)
+
+
+def random_instances(orders, per_order=6):
+    """Seeded instances from balanced to nearly one-signed, either sign."""
+    for order in orders:
+        total = pair_count(order)
+        for step in range(per_order):
+            # the last step leaves the minority class order/4 edges, so the
+            # weight range can sit wholly on one side of 0
+            minority = total // 2 - step * (total // 2 - order // 4) // (per_order - 1)
+            s = (total - 2 * minority) * (-1) ** step
+            seed = 10 * order + step
+            yield f"order{order}_s{s}_seed{seed}", random_with_imbalance(order, s, seed)
 
 
 def all_labelings(order):
@@ -91,6 +142,87 @@ class TestBoundShape:
         assert lower_bound(clique_instance(n, k)) == 2 * k
 
 
+def matching_of(mate):
+    return PerfectMatching(tuple((a, b) for a, b in enumerate(mate) if a < b))
+
+
+@pytest.fixture
+def walk_only(monkeypatch):
+    """Switch the descent off, so a solve that does not start at the floor
+    returns the walk's best matching as it is."""
+    monkeypatch.setattr(solver, "_find_improving", lambda *args: None)
+
+
+def assert_solves(cases, oracle, ceiling=0):
+    """Every solve returns a matching of its reported weight, with gap <= ``ceiling``
+    (0 when order/2 is odd), equal to the oracle minimum when ``oracle``."""
+    failures = []
+    for name, g in cases:
+        m, report = local_search_min_weight(g, SearchPolicy(seed=len(name)))
+        exact = oracle_min_weight(g)[0] if oracle else report.lower_bound
+        allowed = 0 if g.order // 2 % 2 else ceiling
+        if (abs(report.final_weight) - exact > allowed or report.gap > allowed
+                or sigma_matching(g, m) != report.final_weight):
+            failures.append(f"{keep_artifact(f'solve_{name}', g)}: weight "
+                            f"{report.final_weight}, bound {report.lower_bound}, "
+                            f"oracle {exact if oracle else None}")
+    assert not failures, "; ".join(failures)
+
+
+class TestInterpolationWalk:
+    def test_walk_swaps_minus_matching_into_plus_matching(self):
+        failures = []
+        cases = list(flipped_extremal_instances(seeds=2))
+        cases += flipped_extremal_instances(large=True, seeds=1)
+        cases += random_instances((8, 10, 12, 14, 40, 82, 120, 200))
+        for name, g in cases:
+            start = solver.complete_sign_matching(g, max_matching(g, -1), -1)
+            end = solver.complete_sign_matching(g, max_matching(g, 1), 1)
+            lo, hi = sigma_matching(g, start), sigma_matching(g, end)
+            mate, target = solver._mates(start.pairs), solver._mates(end.pairs)
+            off = solver._row_offsets(g.order)
+            weights = []
+            for w in solver._interpolation_walk(g.signs, off, mate, target):
+                weights.append(w)
+                if w != sigma_matching(g, matching_of(mate)):
+                    failures.append(f"{keep_artifact(f'walk_weight_{name}', g)}: step "
+                                    f"{len(weights) - 1} reports {w}")
+                    break
+            reach = min(abs(w) for w in weights)
+            ceiling = 1 if g.order // 2 % 2 else 2
+            if (len(weights) - 1 > g.order // 2 or mate != target
+                    or (weights[0], weights[-1]) != (lo, hi)
+                    or (lo <= 0 <= hi and reach > ceiling) or reach < lower_bound(g)):
+                failures.append(f"{keep_artifact(f'walk_path_{name}', g)}: "
+                                f"{len(weights) - 1} swaps, lo {lo}, hi {hi}, reached {reach}")
+        assert not failures, "; ".join(failures)
+
+    def test_solver_equals_oracle_on_k4_k6(self):
+        assert_solves((case for order in (4, 6) for case in all_labelings(order)), oracle=True)
+
+    def test_walk_alone_on_k4_k6(self, walk_only):
+        assert_solves((case for order in (4, 6) for case in all_labelings(order)),
+                      oracle=True, ceiling=2)
+
+    def test_solver_equals_oracle_on_flipped_extremal(self):
+        assert_solves(flipped_extremal_instances(), oracle=True)
+
+    def test_walk_alone_on_flipped_extremal(self, walk_only):
+        assert_solves(flipped_extremal_instances(), oracle=True, ceiling=2)
+
+    def test_gap_at_most_two_past_the_oracle(self, walk_only):
+        cases = list(flipped_extremal_instances(large=True, seeds=3))
+        cases += random_instances((40, 62, 100, 160, 200))
+        assert_solves(cases, oracle=False, ceiling=2)
+
+    def test_solver_meets_bound_past_the_oracle(self):
+        # a stall costs a full r <= 4 scan, O(order^4): keep the orders small
+        cases = [case for case in flipped_extremal_instances(large=True, seeds=1)
+                 if case[1].order <= 28]
+        cases += random_instances((20, 24, 28))
+        assert_solves(cases, oracle=False)
+
+
 class TestMatchingNumbers:
     @pytest.mark.parametrize("order", [52, 100, 200])
     def test_sign_classes_against_networkx(self, order):
@@ -111,12 +243,13 @@ class TestMatchingNumbers:
 class TestLazyUse:
     def count_calls(self, monkeypatch):
         calls = []
+        real = blossom.maximum_matching
 
-        def counting(g):
-            calls.append(g.order)
-            return lower_bound(g)
+        def counting(order, edges):
+            calls.append(order)
+            return real(order, edges)
 
-        monkeypatch.setattr(solver, "lower_bound", counting)
+        monkeypatch.setattr(blossom, "maximum_matching", counting)
         return calls
 
     def test_floor_reached_without_bound(self, monkeypatch):
@@ -129,6 +262,11 @@ class TestLazyUse:
 
     def test_bound_computed_once_per_solve(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
+        # lo > 0: the minus class's matching alone certifies, no plus call
         _, report = local_search_min_weight(clique_instance(3, 2), SearchPolicy(seed=1))
         assert report.stop_reason == "certified"
         assert calls == [12]
+        for name, g in flipped_extremal_instances():
+            calls.clear()
+            local_search_min_weight(g, SearchPolicy(seed=1))
+            assert len(calls) <= 2, name
