@@ -47,7 +47,6 @@ from .solver import (
     DEFAULT_ORACLE_LIMIT,
     Exchange,
     OracleLimitError,
-    SearchPolicy,
     SolveReport,
     apply_exchange,
     enumerate_exchanges,
@@ -81,7 +80,6 @@ __all__ = [
     "Pair",
     "ParameterError",
     "PerfectMatching",
-    "SearchPolicy",
     "SignedCompleteGraph",
     "SimpleGraph",
     "SolveReport",

@@ -9,13 +9,15 @@ Subcommands::
     sweep {thm2|tight}          (n, k) grids with CSV rows, optional --jobs
 
 Exit codes: 0 success / all checks passed, 1 verification failures or
-solver-oracle mismatch, 2 usage, file or format errors.  Identical argv and
-seed produce byte-identical JSON/CSV output (elapsed_ms aside).
+solver-oracle mismatch, 2 usage, file or format errors, or a stdout closed
+before the output was written.  Identical argv and seed produce
+byte-identical JSON/CSV output (elapsed_ms aside).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -29,13 +31,12 @@ from .core import (
 )
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
-    SearchPolicy,
     local_search_min_weight,
     oracle_min_weight,
 )
 from .verifier import (
-    CSV_COLUMNS,
     VerifyReport,
+    csv_text,
     verify_erdos_gallai,
     verify_prop2,
     verify_theorem1,
@@ -68,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="exchange local search")
     solve.add_argument("instance", help="instance file in signed-k format")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--improvement", choices=("first", "best"), default="first")
     solve.add_argument("--check-oracle", action="store_true",
                        help="also run the exact oracle and compare")
 
@@ -174,8 +174,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _read_instance(args.instance)
-    policy = SearchPolicy(seed=args.seed, improvement=args.improvement)
-    matching, report = local_search_min_weight(g, policy)
+    matching, report = local_search_min_weight(g, seed=args.seed)
     exit_code = 0
     if args.check_oracle:
         _warn_oracle_limit(args.oracle_limit)
@@ -288,10 +287,7 @@ def _cmd_sweep(args) -> int:
 
     all_clean = all(clean for _, _, _, clean in results)
     if args.format == "csv":
-        print(",".join(CSV_COLUMNS))
-        for _, _, rows, _ in results:
-            for row in rows:
-                print(",".join(str(row.get(col, "")) for col in CSV_COLUMNS))
+        sys.stdout.write(csv_text(row for _, _, rows, _ in results for row in rows))
     else:
         for n, k, rows, clean in results:
             status = "pass" if clean else "FAIL"
@@ -302,21 +298,20 @@ def _cmd_sweep(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"gen": _cmd_gen, "solve": _cmd_solve, "oracle": _cmd_oracle,
+                "verify": _cmd_verify, "sweep": _cmd_sweep}
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        parser.error(f"unknown command {args.command!r}")
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except LowpmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # the exit flush of what is still buffered goes to devnull, silently
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
     return 2
 
 

@@ -10,11 +10,13 @@ move, for the search and for the public :func:`enumerate_exchanges`; it
 reads signs straight from the instance's flat ``signs`` tuple through
 per-row offsets computed once per call.
 
-A descent that stalls above the parity floor computes the certified
-:func:`lower_bound` and stops if it meets it.  Otherwise the interpolation
-walk swaps the least-weight matching into the greatest-weight one two edges
-at a time; each swap moves the weight by at most 4, so the walk passes
-|weight| <= 2 when the two straddle 0.  A last descent starts from its best.
+The descent first uses r = 2 alone.  If it stalls above the parity floor,
+the certified :func:`lower_bound` is computed before any r = 3/4 scan, and
+the r <= 4 descent stops as soon as it meets the bound.  If that descent
+stalls above the bound, the interpolation walk swaps the least-weight
+matching into the greatest-weight one two edges at a time; each swap moves
+the weight by at most 4, so the walk passes |weight| <= 2 when the two
+straddle 0.  A last descent starts from its best.
 
 The oracle computes the exact minimum of |weight| over all perfect
 matchings with a bitmask memo of the achievable weights of every vertex set
@@ -127,20 +129,6 @@ class SolveReport:
         }
 
 
-@dataclass(frozen=True)
-class SearchPolicy:
-    """Local search settings: the seed of the random start (unused when
-    ``start`` is given) and the improvement rule within one r level."""
-
-    seed: int = 0
-    start: PerfectMatching | None = None
-    improvement: str = "first"  # "first" or "best", within one r level
-
-    def __post_init__(self) -> None:
-        if self.improvement not in ("first", "best"):
-            raise ParameterError(f"improvement must be 'first' or 'best', got {self.improvement!r}")
-
-
 def _pairings(verts: tuple[int, ...]) -> Iterator[tuple[Pair, ...]]:
     """All perfect pairings of sorted ``verts``, in lexicographic order."""
     if not verts:
@@ -231,31 +219,22 @@ def _iter_raw_moves(signs, off, edges, r):
                 yield idxs, added, total - sigma_removed
 
 
-def _find_improving(signs, off, edges, weight, rule):
+def _find_improving(signs, off, edges, weight, levels):
+    """The first move that lowers |weight|, at the smallest r in ``levels``."""
     current_abs = abs(weight)
-    for r in R_LEVELS:
-        if 2 * r > 2 * len(edges):
+    for r in levels:
+        if r > len(edges):
             break
-        best = None
-        best_key = None
         for idxs, added, delta in _iter_raw_moves(signs, off, edges, r):
-            new_abs = abs(weight + delta)
-            if new_abs >= current_abs:
-                continue
-            if rule == "first":
+            if abs(weight + delta) < current_abs:
                 return idxs, added, delta
-            key = (new_abs, _edges_after(edges, idxs, added))
-            if best_key is None or key < best_key:
-                best, best_key = (idxs, added, delta), key
-        if best is not None:
-            return best
     return None
 
 
-def _descend(signs, off, edges, w, stop_at, rule, moves_applied):
+def _descend(signs, off, edges, w, stop_at, levels, moves_applied):
     """Apply improving moves until |w| <= stop_at or none is left."""
     while abs(w) > stop_at:
-        move = _find_improving(signs, off, edges, w, rule)
+        move = _find_improving(signs, off, edges, w, levels)
         if move is None:
             break
         idxs, added, delta = move
@@ -295,34 +274,36 @@ def _interpolation_walk(signs, off, mate, target) -> Iterator[int]:
 
 
 def local_search_min_weight(
-    g: SignedCompleteGraph, policy: SearchPolicy | None = None
+    g: SignedCompleteGraph, *, seed: int = 0, start: PerfectMatching | None = None
 ) -> tuple[PerfectMatching, SolveReport]:
     """Minimize |weight|: descent, certified bound, interpolation walk.
 
-    Descends by improving exchanges of r <= 4 from ``policy.start`` or one
-    seeded random matching, stopping at the parity floor (0 when order/2 is
-    even, else 1).  A stall above it computes :func:`lower_bound` and stops
-    there if met; otherwise the walk from the least- to the greatest-weight
-    matching and a second descent from its best matching end the solve.
-    The gap is then 0 when order/2 is odd and at most 2 otherwise.
+    Descends by improving r = 2 exchanges from ``start`` or, when it is
+    None, one random matching drawn from ``seed``, stopping at the parity
+    floor (0 when order/2 is even, else 1).  A stall above it computes
+    :func:`lower_bound` before any r = 3/4 scan, then descends with r <= 4
+    down to the bound.  If that stalls too, the walk from the least- to the
+    greatest-weight matching and one more descent from its best matching
+    end the solve.  The gap is then 0 when order/2 is odd and at most 2
+    otherwise.
     """
     if g.order < 4 or g.order % 2:
         raise ParameterError(f"local search needs even order >= 4, got {g.order}")
-    policy = policy or SearchPolicy()
-    if policy.start is not None and policy.start.order != g.order:
+    if start is not None and start.order != g.order:
         raise MatchingError("start matching does not cover the graph's vertex set")
     floor = 0 if (g.order // 2) % 2 == 0 else 1
     signs, off = g.signs, _row_offsets(g.order)
     t0 = time.perf_counter()
 
-    start = policy.start or random_perfect_matching(g.order, SplitMix64(policy.seed))
+    start = start or random_perfect_matching(g.order, SplitMix64(seed))
     initial_weight = sum(signs[off[a] + b] for a, b in start.pairs)
     moves_applied = {r: 0 for r in R_LEVELS}
-    edges, w = _descend(signs, off, start.pairs, initial_weight, floor,
-                        policy.improvement, moves_applied)
+    edges, w = _descend(signs, off, start.pairs, initial_weight, floor, (2,), moves_applied)
     bound = floor
     if abs(w) > floor:
+        # bound first: two blossom calls, where an r <= 4 scan is ~order^4 patterns
         bound, minus_mm, plus_mm = _bound_parts(g)
+        edges, w = _descend(signs, off, edges, w, bound, R_LEVELS, moves_applied)
         if abs(w) > bound:
             mate = _mates(complete_sign_matching(g, minus_mm, -1).pairs)
             # with lo > 0 the least-weight matching is already exact: no walk
@@ -333,7 +314,7 @@ def local_search_min_weight(
                 if best is None or abs(walk_w) < abs(w):
                     best, w = mate[:], walk_w
             edges = tuple((a, b) for a, b in enumerate(best) if a < b)
-            edges, w = _descend(signs, off, edges, w, bound, policy.improvement, moves_applied)
+            edges, w = _descend(signs, off, edges, w, bound, R_LEVELS, moves_applied)
 
     if abs(w) <= floor:
         stop_reason = "floor"

@@ -46,7 +46,6 @@ from .core import (
 from .rng import SplitMix64
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
-    SearchPolicy,
     complete_sign_matching,
     local_search_min_weight,
     oracle_min_weight,
@@ -56,6 +55,15 @@ from .solver import (
 CSV_COLUMNS = ("n", "k", "s", "seed", "min_weight", "bound", "pass")
 
 VERIFY_MODES = ("oracle", "solver", "both")
+
+
+def csv_text(rows) -> str:
+    """A header line, then one line per row over :data:`CSV_COLUMNS`."""
+    buf = io.StringIO()
+    writer = _csv.DictWriter(buf, fieldnames=CSV_COLUMNS, restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass
@@ -144,12 +152,7 @@ class VerifyReport:
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = _csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow({col: row.get(col, "") for col in CSV_COLUMNS})
-        return buf.getvalue()
+        return csv_text(self.rows)
 
 
 def _finish(report: VerifyReport, t0: float) -> VerifyReport:
@@ -221,7 +224,7 @@ def verify_theorem1(
             report.check(g, "min_weight 0", f"min_weight {observed_min}", observed_min == 0)
         solver_weight: int | None = None
         if mode in ("solver", "both"):
-            _, solve = local_search_min_weight(g, SearchPolicy(seed=inst_seed))
+            _, solve = local_search_min_weight(g, seed=inst_seed)
             solver_weight = solve.final_weight
             if mode == "solver":
                 report.check(
@@ -268,7 +271,7 @@ def verify_prop2(k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> VerifyRepo
         observed_min, _ = oracle_min_weight(g, oracle_limit)
         observed = f"min_weight {observed_min}"
     else:
-        _, solve = local_search_min_weight(g, SearchPolicy())
+        _, solve = local_search_min_weight(g)
         observed_min = abs(solve.final_weight) if solve.gap == 0 else None
         observed = (f"min_weight {observed_min} (certified)" if observed_min is not None
                     else f"solver |weight| {abs(solve.final_weight)} above "
@@ -293,8 +296,9 @@ def verify_theorem2(
     """Imbalance below thm2_bound(n,k) forces a matching of |weight| <= 2k-2.
 
     ``grid="full"`` checks every admissible imbalance with ``samples``
-    instances each; ``grid="sampled"`` draws ``samples`` imbalances
-    uniformly, always forcing the extremes 0 and +/-(bound-2) into the mix.
+    instances each; ``grid="sampled"`` checks ``samples`` imbalances: the
+    extremes 0 and +/-(bound-2) first, as far as ``samples`` reaches, then
+    uniform draws.
     The constructive route (perfect matching grown from a maximum matching
     of the minority sign) runs alongside and its worst weight is recorded
     under ``stats``.
@@ -328,8 +332,7 @@ def verify_theorem2(
         for s in range(-cap, cap + 1, 2):
             plan.extend([s] * samples)
     else:
-        forced = [s for s in (0, cap, -cap) if abs(s) <= cap]
-        plan.extend(dict.fromkeys(forced))
+        plan.extend(list(dict.fromkeys((0, cap, -cap)))[:samples])
         while len(plan) < samples:
             plan.append(-cap + 2 * stream.bounded(cap + 1))
 

@@ -12,7 +12,6 @@ import pytest
 
 from lowpm import (
     PerfectMatching,
-    SearchPolicy,
     SplitMix64,
     apply_exchange,
     clique_instance,
@@ -230,7 +229,7 @@ def test_criterion_8_property_suites():
 def test_criterion_9_solver_reaches_zero_on_balanced_corpus():
     failures = []
     for order, seed, g in balanced_corpus():
-        _, report = local_search_min_weight(g, SearchPolicy(seed=seed))
+        _, report = local_search_min_weight(g, seed=seed)
         if report.final_weight != 0:
             oracle_min, _ = oracle_min_weight(g)
             if oracle_min == 0:

@@ -208,6 +208,14 @@ class TestSweep:
         assert "grid" in err
 
 
+def module_env(**extra):
+    """The environment for ``python -m lowpm`` run from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 class TestUsage:
     def test_no_command_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -219,13 +227,31 @@ class TestUsage:
             main(["verify", "thm9"])
         assert info.value.code == 2
 
+    def test_improvement_flag_is_gone(self, tmp_path):
+        path = tmp_path / "inst.sk"
+        path.write_text("signed-k 1\norder 4\nsigns ++-+-+\n")
+        with pytest.raises(SystemExit) as info:
+            main(["solve", str(path), "--improvement", "best"])
+        assert info.value.code == 2
+
     def test_python_dash_m(self, tmp_path):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        env = module_env()
         path = tmp_path / "inst.sk"
         path.write_text("signed-k 1\norder 4\nsigns ++-+-+\n")
         done = subprocess.run([sys.executable, "-m", "lowpm", "oracle", str(path)],
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "min_weight 0\nmatching 0-2 1-3\n"
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_one_error_line_exit_2(self, unbuffered):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lowpm", "verify", "thm2", "--n", "1", "--k", "2",
+             "--samples", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=module_env(PYTHONUNBUFFERED=unbuffered))
+        proc.stdout.close()  # at once: the child is still starting its interpreter
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -15,7 +15,6 @@ import pytest
 
 from lowpm import (
     PerfectMatching,
-    SearchPolicy,
     SignedCompleteGraph,
     SplitMix64,
     clique_instance,
@@ -158,7 +157,7 @@ def assert_solves(cases, oracle, ceiling=0):
     (0 when order/2 is odd), equal to the oracle minimum when ``oracle``."""
     failures = []
     for name, g in cases:
-        m, report = local_search_min_weight(g, SearchPolicy(seed=len(name)))
+        m, report = local_search_min_weight(g, seed=len(name))
         exact = oracle_min_weight(g)[0] if oracle else report.lower_bound
         allowed = 0 if g.order // 2 % 2 else ceiling
         if (abs(report.final_weight) - exact > allowed or report.gap > allowed
@@ -256,17 +255,17 @@ class TestLazyUse:
         calls = self.count_calls(monkeypatch)
         for seed in range(5):
             _, report = local_search_min_weight(
-                random_with_imbalance(12, 0, seed), SearchPolicy(seed=seed))
+                random_with_imbalance(12, 0, seed), seed=seed)
             assert report.stop_reason == "floor"
         assert calls == []
 
     def test_bound_computed_once_per_solve(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         # lo > 0: the minus class's matching alone certifies, no plus call
-        _, report = local_search_min_weight(clique_instance(3, 2), SearchPolicy(seed=1))
+        _, report = local_search_min_weight(clique_instance(3, 2), seed=1)
         assert report.stop_reason == "certified"
         assert calls == [12]
         for name, g in flipped_extremal_instances():
             calls.clear()
-            local_search_min_weight(g, SearchPolicy(seed=1))
+            local_search_min_weight(g, seed=1)
             assert len(calls) <= 2, name

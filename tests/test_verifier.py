@@ -107,6 +107,12 @@ class TestTheorem2:
         assert imbalances[0] == 0
         assert {26, -26} <= set(imbalances[:3])
 
+    @pytest.mark.parametrize("samples", [1, 2, 3, 4])
+    def test_sampled_checks_exactly_samples(self, samples):
+        report = verify_theorem2(1, 2, samples=samples, seed=0)
+        assert report.tested == len(report.rows) == samples
+        assert [row["s"] for row in report.rows][:3] == [0, 6, -6][:samples]
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             verify_theorem2(2, 1)
