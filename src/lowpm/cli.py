@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--jobs", type=int, default=1)
 
-    for p in (solve, oracle, v_thm1, v_prop2, v_thm2, v_tight, sweep):
+    for p in (solve, oracle, v_thm1, v_thm2, v_tight, sweep):
         p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     for p in (solve, oracle):
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -234,7 +234,7 @@ def _emit_report(report: VerifyReport, fmt: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.statement != "eg":
+    if args.statement not in ("prop2", "eg"):
         _warn_oracle_limit(args.oracle_limit)
     if args.statement == "thm1":
         report = verify_theorem1(
@@ -242,7 +242,7 @@ def _cmd_verify(args) -> int:
             exhaustive=args.exhaustive, oracle_limit=args.oracle_limit,
         )
     elif args.statement == "prop2":
-        report = verify_prop2(args.k, oracle_limit=args.oracle_limit)
+        report = verify_prop2(args.k)
     elif args.statement == "thm2":
         report = verify_theorem2(
             args.n, args.k, samples=args.samples, seed=args.seed, grid=args.grid,

@@ -2,21 +2,18 @@
 
 The local move replaces ``r`` edges of the current perfect matching with a
 different perfect matching on the same ``2r`` vertices (their symmetric
-difference is a union of alternating cycles).  Moves with r in {2, 3, 4}
-suffice in practice to drive the weight to its minimum on every instance we
-can oracle-check; the search escalates 2 -> 3 -> 4 and only looks at a
-larger r when no smaller improving move exists.  One scan generates every
-move, for the search and for the public :func:`enumerate_exchanges`; it
-reads signs straight from the instance's flat ``signs`` tuple through
-per-row offsets computed once per call.
+difference is a union of alternating cycles).  One scan generates every
+move with r in {2, 3, 4}, for the search and for the public
+:func:`enumerate_exchanges`; it reads signs straight from the instance's
+flat ``signs`` tuple through per-row offsets computed once per call.
 
-The descent first uses r = 2 alone.  If it stalls above the parity floor,
-the certified :func:`lower_bound` is computed before any r = 3/4 scan, and
-the r <= 4 descent stops as soon as it meets the bound.  If that descent
-stalls above the bound, the interpolation walk swaps the least-weight
-matching into the greatest-weight one two edges at a time; each swap moves
-the weight by at most 4, so the walk passes |weight| <= 2 when the two
-straddle 0.  A last descent starts from its best.
+A solve has one route: an r = 2 descent to the parity floor; on a stall
+above it, the certified :func:`lower_bound`; on a stall above the bound, the
+interpolation walk, which swaps the least-weight matching into the
+greatest-weight one two edges at a time.  Each swap moves the weight by at
+most 4, so the walk passes |weight| <= 2 when the two straddle 0 and ends
+optimal when they do not.  Only a walk that stops above the bound is
+polished by a descent escalating r = 2 -> 3 -> 4.
 
 The oracle computes the exact minimum of |weight| over all perfect
 matchings with a bitmask memo of the achievable weights of every vertex set
@@ -276,16 +273,17 @@ def _interpolation_walk(signs, off, mate, target) -> Iterator[int]:
 def local_search_min_weight(
     g: SignedCompleteGraph, *, seed: int = 0, start: PerfectMatching | None = None
 ) -> tuple[PerfectMatching, SolveReport]:
-    """Minimize |weight|: descent, certified bound, interpolation walk.
+    """Minimize |weight|: r = 2 descent, certified bound, walk, r <= 4 polish.
 
     Descends by improving r = 2 exchanges from ``start`` or, when it is
     None, one random matching drawn from ``seed``, stopping at the parity
     floor (0 when order/2 is even, else 1).  A stall above it computes
-    :func:`lower_bound` before any r = 3/4 scan, then descends with r <= 4
-    down to the bound.  If that stalls too, the walk from the least- to the
-    greatest-weight matching and one more descent from its best matching
-    end the solve.  The gap is then 0 when order/2 is odd and at most 2
-    otherwise.
+    :func:`lower_bound`; a stall above the bound runs the walk from the
+    least- to the greatest-weight matching, whose best matching replaces
+    the stalled one when it weighs less.  A descent with r <= 4 down to
+    the bound ends the solve; it scans r = 3/4 only when the walk stopped
+    at |weight| 2 above a bound of 0.  The gap is 0 when order/2 is odd
+    and at most 2 otherwise.
     """
     if g.order < 4 or g.order % 2:
         raise ParameterError(f"local search needs even order >= 4, got {g.order}")
@@ -301,19 +299,17 @@ def local_search_min_weight(
     edges, w = _descend(signs, off, start.pairs, initial_weight, floor, (2,), moves_applied)
     bound = floor
     if abs(w) > floor:
-        # bound first: two blossom calls, where an r <= 4 scan is ~order^4 patterns
+        # two blossom calls and <= order/2 walk swaps, not ~order^4-pattern scans
         bound, minus_mm, plus_mm = _bound_parts(g)
-        edges, w = _descend(signs, off, edges, w, bound, R_LEVELS, moves_applied)
         if abs(w) > bound:
             mate = _mates(complete_sign_matching(g, minus_mm, -1).pairs)
             # with lo > 0 the least-weight matching is already exact: no walk
             target = mate if plus_mm is None else _mates(
                 complete_sign_matching(g, plus_mm, 1).pairs)
-            best = None
+            # a tie keeps the r = 2 optimum, which needed fewer r = 4 scans to polish
             for walk_w in _interpolation_walk(signs, off, mate, target):
-                if best is None or abs(walk_w) < abs(w):
-                    best, w = mate[:], walk_w
-            edges = tuple((a, b) for a, b in enumerate(best) if a < b)
+                if abs(walk_w) < abs(w):
+                    edges, w = tuple((a, b) for a, b in enumerate(mate) if a < b), walk_w
             edges, w = _descend(signs, off, edges, w, bound, R_LEVELS, moves_applied)
 
     if abs(w) <= floor:

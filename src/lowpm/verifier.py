@@ -199,7 +199,8 @@ def verify_theorem1(
     order = 4 * n
     if mode in ("oracle", "both") and order > oracle_limit:
         raise ParameterError(
-            f"order {order} exceeds oracle limit {oracle_limit}; use mode='solver'"
+            f"order {order} exceeds the oracle limit {oracle_limit}; raise the limit "
+            f"(--oracle-limit) or check with the solver alone (--mode solver)"
         )
 
     t0 = time.perf_counter()
@@ -248,12 +249,11 @@ def verify_theorem1(
     return _finish(report, t0)
 
 
-def verify_prop2(k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> VerifyReport:
+def verify_prop2(k: int) -> VerifyReport:
     """The two-block instance has imbalance 2 yet no zero-weight matching.
 
-    For k=2 (order 8) the weight minimum is oracle-asserted (= 2).  For
-    larger k it is certified instead: the bipartite parity step of
-    :func:`lower_bound` gives |weight| >= 2, and the local search, which
+    The weight minimum is certified at every k: the bipartite parity step
+    of :func:`lower_bound` gives |weight| >= 2, and the local search, which
     stops at that bound, supplies a matching of |weight| 2.
     """
     if k < 2 or k % 2:
@@ -265,17 +265,12 @@ def verify_prop2(k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> VerifyRepo
     total = sigma_total(g)
     ok = report.check(g, "sigma_total 2", f"sigma_total {total}", total == 2)
 
-    order = k * k + 4
-    n = order // 4
-    if k == 2 and order <= oracle_limit:
-        observed_min, _ = oracle_min_weight(g, oracle_limit)
-        observed = f"min_weight {observed_min}"
-    else:
-        _, solve = local_search_min_weight(g)
-        observed_min = abs(solve.final_weight) if solve.gap == 0 else None
-        observed = (f"min_weight {observed_min} (certified)" if observed_min is not None
-                    else f"solver |weight| {abs(solve.final_weight)} above "
-                         f"lower bound {solve.lower_bound}")
+    n = g.order // 4
+    _, solve = local_search_min_weight(g)
+    observed_min = abs(solve.final_weight) if solve.gap == 0 else None
+    observed = (f"min_weight {observed_min} (certified)" if observed_min is not None
+                else f"solver |weight| {abs(solve.final_weight)} above "
+                     f"lower bound {solve.lower_bound}")
     ok = report.check(g, "min_weight 2", observed, observed_min == 2) and ok
     report.rows.append(
         {"n": n, "k": k, "s": total, "seed": "",
@@ -312,7 +307,10 @@ def verify_theorem2(
     _require_samples(samples)
     order = 4 * n
     if order > oracle_limit:
-        raise ParameterError(f"order {order} exceeds oracle limit {oracle_limit}")
+        raise ParameterError(
+            f"order {order} exceeds the oracle limit {oracle_limit}; raise the limit "
+            f"(--oracle-limit)"
+        )
 
     bound = thm2_bound(n, k)
     threshold = 2 * k - 2

@@ -168,6 +168,19 @@ class TestVerify:
         assert out == ""
         assert "samples must be a positive integer" in err
 
+    @pytest.mark.parametrize("argv,ways_out", [
+        (("thm1", "--n", "5"), ("--oracle-limit", "--mode solver")),
+        (("thm2", "--n", "5", "--k", "2"), ("--oracle-limit",)),
+    ], ids=["thm1", "thm2"])
+    def test_past_oracle_limit_names_the_ways_out(self, capsys, argv, ways_out):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: order 20 exceeds the oracle limit 16")
+        assert err.count("\n") == 1
+        assert all(way in err for way in ways_out)
+        assert "mode='solver'" not in err
+
     def test_thm1_exhaustive_ignores_samples(self, capsys):
         code, out, _ = run(capsys, "verify", "thm1", "--n", "1", "--exhaustive",
                            "--samples", "0")
@@ -232,6 +245,11 @@ class TestUsage:
         path.write_text("signed-k 1\norder 4\nsigns ++-+-+\n")
         with pytest.raises(SystemExit) as info:
             main(["solve", str(path), "--improvement", "best"])
+        assert info.value.code == 2
+
+    def test_prop2_oracle_limit_flag_is_gone(self):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "prop2", "--k", "2", "--oracle-limit", "16"])
         assert info.value.code == 2
 
     def test_python_dash_m(self, tmp_path):

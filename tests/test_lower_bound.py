@@ -214,8 +214,24 @@ class TestInterpolationWalk:
         cases += random_instances((40, 62, 100, 160, 200))
         assert_solves(cases, oracle=False, ceiling=2)
 
+    def test_solver_equals_oracle_where_the_walk_runs(self, monkeypatch):
+        # the unpatched solve walks only when its r = 2 descent stalls above
+        # the bound, a few times in 300 instances per order
+        walked = set()
+        real = solver._interpolation_walk
+
+        def spy(signs, off, mate, target):
+            walked.add(len(mate))
+            return real(signs, off, mate, target)
+
+        monkeypatch.setattr(solver, "_interpolation_walk", spy)
+        orders = (8, 10, 12, 14, 16)
+        assert_solves(random_instances(orders, per_order=300), oracle=True)
+        assert walked == set(orders)
+
     def test_solver_meets_bound_past_the_oracle(self):
-        # a stall costs a full r <= 4 scan, O(order^4): keep the orders small
+        # a walk that ends at |weight| 2 above a bound of 0 is polished by
+        # r <= 4 scans, O(order^4) patterns per move: keep the orders small
         cases = [case for case in flipped_extremal_instances(large=True, seeds=1)
                  if case[1].order <= 28]
         cases += random_instances((20, 24, 28))

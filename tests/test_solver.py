@@ -131,6 +131,27 @@ class TestBoundBeforeWideScan:
         assert scans and set(scans) == {2}
         assert sigma_matching(g, m) == report.final_weight
 
+    @pytest.mark.parametrize("g,seed,stop", [
+        # the walk passes the floor
+        (random_with_imbalance(40, -740, 4002), 2, "floor"),
+        # hi = -8 < 0: the walk ends on the exact M+
+        (random_with_imbalance(80, -3120, 8000), 0, "certified"),
+    ], ids=["walk_to_floor", "plus_matching_exact"])
+    def test_r2_stall_above_the_bound_walks_before_any_wider_scan(
+            self, g, seed, stop, monkeypatch):
+        scans = []
+        real = solver._iter_raw_moves
+
+        def spy(signs, off, edges, r):
+            scans.append(r)
+            return real(signs, off, edges, r)
+
+        monkeypatch.setattr(solver, "_iter_raw_moves", spy)
+        m, report = local_search_min_weight(g, seed=seed)
+        assert report.stop_reason == stop
+        assert scans and set(scans) == {2}
+        assert sigma_matching(g, m) == report.final_weight
+
 
 class TestBudgetsAndDeterminism:
     def test_deterministic_given_seed(self):
@@ -151,7 +172,7 @@ class TestBudgetsAndDeterminism:
         assert (report.stop_reason, report.lower_bound, report.gap) == ("certified", 4, 0)
 
         # held at the parity floor, the bound certifies nothing; M- (lo = 4,
-        # so no walk) and the second descent leave the weight at 4
+        # so no walk) and the polish leave the weight at 4
         real = solver._bound_parts
         monkeypatch.setattr(solver, "_bound_parts", lambda g: (0,) + real(g)[1:])
         m, report = local_search_min_weight(g, seed=0)

@@ -72,7 +72,7 @@ class TestProp2:
         assert "partial" not in report.stats
 
     def test_k4_partial(self):
-        # order 20 is past the oracle; the minimum 2 is certified instead
+        # the minimum 2 is certified by the solve, as at every k
         report = verify_prop2(4)
         assert report.ok
         assert "partial" not in report.stats
