@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .constructions import clique_instance, proposition2_instance, random_with_imbalance
 from .core import (
@@ -31,6 +30,8 @@ from .core import (
 )
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
+    MAX_ORACLE_LIMIT,
+    ORACLE_COST,
     local_search_min_weight,
     oracle_min_weight,
 )
@@ -116,8 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--jobs", type=int, default=1)
 
+    def oracle_limit(text: str) -> int:
+        if int(text) > MAX_ORACLE_LIMIT:
+            raise argparse.ArgumentTypeError(f"the maximum is {MAX_ORACLE_LIMIT}, got {text}")
+        return int(text)
+
     for p in (solve, oracle, v_thm1, v_thm2, v_tight, sweep):
-        p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+        p.add_argument("--oracle-limit", type=oracle_limit, default=DEFAULT_ORACLE_LIMIT)
     for p in (solve, oracle):
         p.add_argument("--format", choices=("text", "json"), default="text")
     for p in (v_thm1, v_prop2, v_thm2, v_tight, v_eg):
@@ -129,12 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _warn_oracle_limit(limit: int) -> None:
     if limit > DEFAULT_ORACLE_LIMIT:
-        print(
-            f"warning: oracle limit {limit} is above the default "
-            f"{DEFAULT_ORACLE_LIMIT}; one oracle call takes ~20 ms at order 20 and "
-            f"~0.17 s at order 24, growing ~2.6x per two vertices",
-            file=sys.stderr,
-        )
+        print(f"warning: oracle limit {limit} is above the default "
+              f"{DEFAULT_ORACLE_LIMIT}; {ORACLE_COST}", file=sys.stderr)
 
 
 def _read_instance(path: str):
@@ -279,6 +281,8 @@ def _cmd_sweep(args) -> int:
         raise LowpmError("empty sweep grid: check --n-min/--n-max/--k-min/--k-max")
 
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_cell, jobs))
     else:

@@ -1,23 +1,23 @@
 """Instance generators and closed-form bounds.
 
-Three families matter here:
+Both extremal families are two-block instances from one writer: block A
+is the lowest vertices, B the rest, with one sign inside each and one across.
 
-* the two-block family (``proposition2_instance``): a complete bipartite
-  plus-part between blocks A and B sized so the total imbalance is exactly
-  +2 while no perfect matching can reach weight 0 (a parity obstruction:
-  any zero-weight matching would need |A| - order/4 vertices of A covered
-  by minus edges, and that count is odd);
+* the two-block family (``proposition2_instance``): +1 across, A sized so
+  the total imbalance is exactly +2 while no perfect matching can reach
+  weight 0 (a parity obstruction: any zero-weight matching would need
+  |A| - order/4 vertices of A covered by minus edges, and that count is odd);
 
-* the plus-clique family (``clique_instance``): all edges inside a clique
-  of order 3n+k are +1, everything else -1.  Its imbalance meets
-  ``thm2_bound(n, k)`` exactly and its minus subgraph has matching number
-  n-k, which forces every perfect matching to weight >= 2k;
+* the plus-clique family (``clique_instance``): +1 inside A, a clique of
+  order 3n+k.  Its imbalance meets ``thm2_bound(n, k)`` exactly and its
+  minus subgraph, the Erdos-Gallai extremal graph (``eg_extremal_graph``),
+  has matching number n-k, which forces every perfect matching to weight >= 2k;
 
 * seeded random instances with a prescribed imbalance
   (``random_with_imbalance``), the workhorse of the verification sweeps.
 
-Vertex placement is pinned for reproducibility: cliques and block A always
-occupy the lowest-indexed vertices.
+Vertex placement is pinned for reproducibility: block A always occupies the
+lowest-indexed vertices.
 """
 
 from __future__ import annotations
@@ -25,21 +25,34 @@ from __future__ import annotations
 from itertools import compress
 
 from .core import (
-    Pair,
     ParameterError,
     SignedCompleteGraph,
     SimpleGraph,
     iter_pairs,
     pair_count,
+    sign_subgraph,
 )
 from .rng import SplitMix64
 
 
-def _check_nk(n: int, k: int) -> None:
+def _check_nk(n: int, k: int, clique_fits: bool = True) -> None:
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
     if k < 1:
         raise ParameterError(f"k must be a positive integer, got {k}")
+    if clique_fits and k > n:
+        raise ParameterError(f"need k <= n, got n={n}, k={k}")
+
+
+def _two_block(order: int, t: int,
+               inside_a: int, across: int, inside_b: int) -> SignedCompleteGraph:
+    """Block A = vertices 0..t-1, block B = the rest.  In canonical pair
+    order each A row lists its pairs inside A, then across; B rows follow."""
+    signs: list[int] = []
+    for u in range(t):
+        signs += [inside_a] * (t - 1 - u) + [across] * (order - t)
+    signs += [inside_b] * pair_count(order - t)
+    return SignedCompleteGraph(order, tuple(signs))
 
 
 def proposition2_instance(k: int) -> SignedCompleteGraph:
@@ -51,15 +64,7 @@ def proposition2_instance(k: int) -> SignedCompleteGraph:
     """
     if k < 2 or k % 2:
         raise ParameterError(f"k must be an even integer >= 2, got {k}")
-    order = k * k + 4
-    size_a = (k * k + k) // 2 + 2
-    signs: list[int] = []
-    for u in range(order):
-        if u < size_a:
-            signs.extend([-1] * (size_a - 1 - u) + [1] * (order - size_a))
-        else:
-            signs.extend([-1] * (order - 1 - u))
-    return SignedCompleteGraph(order, tuple(signs))
+    return _two_block(k * k + 4, (k * k + k) // 2 + 2, -1, 1, -1)
 
 
 def thm2_bound(n: int, k: int) -> int:
@@ -69,7 +74,7 @@ def thm2_bound(n: int, k: int) -> int:
     instance, which is the tightness identity.  Defined for all k >= 1 even
     though the matching-weight guarantee it gates needs k >= 2.
     """
-    _check_nk(n, k)
+    _check_nk(n, k, clique_fits=False)
     return n * (n - 1) + k * (6 * n - 1) + k * k
 
 
@@ -81,24 +86,12 @@ def clique_instance(n: int, k: int) -> SignedCompleteGraph:
     clique plus n-k vertices joined to everything, with matching number n-k.
     """
     _check_nk(n, k)
-    if k > n:
-        raise ParameterError(f"need k <= n, got n={n}, k={k}")
-    clique = 3 * n + k
-    order = 4 * n
-    signs: list[int] = []
-    for u in range(order):
-        if u < clique:
-            signs.extend([1] * (clique - 1 - u) + [-1] * (order - clique))
-        else:
-            signs.extend([-1] * (order - 1 - u))
-    return SignedCompleteGraph(order, tuple(signs))
+    return _two_block(4 * n, 3 * n + k, 1, -1, -1)
 
 
 def eg_edge_bound(n: int, k: int) -> int:
     """Maximum edge count of an order-4n graph with matching number n-k."""
     _check_nk(n, k)
-    if k > n:
-        raise ParameterError(f"need k <= n, got n={n}, k={k}")
     return pair_count(4 * n) - pair_count(3 * n + k)
 
 
@@ -106,15 +99,10 @@ def eg_extremal_graph(n: int, k: int) -> SimpleGraph:
     """The unique extremal graph for :func:`eg_edge_bound`.
 
     Complement of (clique of order 3n+k, disjoint union, n-k isolated
-    vertices): every pair with an endpoint among the last n-k vertices.
-    This is exactly the minus subgraph of :func:`clique_instance`.
+    vertices): every pair with an endpoint among the last n-k vertices,
+    which is the minus subgraph of :func:`clique_instance`.
     """
-    _check_nk(n, k)
-    if k > n:
-        raise ParameterError(f"need k <= n, got n={n}, k={k}")
-    clique = 3 * n + k
-    edges = tuple((u, v) for u, v in iter_pairs(4 * n) if v >= clique)
-    return SimpleGraph(4 * n, edges)
+    return sign_subgraph(clique_instance(n, k), -1)
 
 
 def random_with_imbalance(order: int, s: int, seed: int) -> SignedCompleteGraph:

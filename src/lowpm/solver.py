@@ -47,12 +47,27 @@ from .rng import SplitMix64
 
 DEFAULT_ORACLE_LIMIT = 16
 MAX_ORACLE_LIMIT = 24
+ORACLE_COST = ("one oracle call takes ~20 ms at order 20 and ~0.17 s at order 24, "
+               "growing ~2.6x per two vertices")
 
 R_LEVELS = (2, 3, 4)
 
 
 class OracleLimitError(ParameterError):
     """Instance order exceeds the enumeration limit of the oracle."""
+
+
+def refuse_past_oracle_limit(order: int, limit: int, other_way: str = "") -> None:
+    """Raise :class:`OracleLimitError` past ``limit``: the one wording of the
+    refusal, naming --oracle-limit up to its maximum, then ``other_way``."""
+    if order <= limit:
+        return
+    if order <= MAX_ORACLE_LIMIT:
+        ways = "; raise the limit (--oracle-limit)" + (f" or {other_way}" if other_way else "")
+    else:
+        ways = (f" and the most --oracle-limit accepts, {MAX_ORACLE_LIMIT}"
+                + (f"; {other_way}" if other_way else ""))
+    raise OracleLimitError(f"order {order} exceeds the oracle limit {limit}{ways} ({ORACLE_COST})")
 
 
 @dataclass(frozen=True)
@@ -355,16 +370,9 @@ def oracle_min_weight(
     is the lexicographically smallest matching attaining the minimum.
 
     Refuses instances with order above ``order_limit`` (default 16, which
-    already means 2,027,025 matchings).  One call takes about 20 ms at
-    order 20 and 0.17 s at order 24, and the set count grows ~2.6x per two
-    vertices.
+    already means 2,027,025 matchings); see :data:`ORACLE_COST`.
     """
-    if g.order > order_limit:
-        raise OracleLimitError(
-            f"order {g.order} exceeds the oracle limit {order_limit}; "
-            f"raise order_limit to force it (one call takes ~20 ms at order 20, "
-            f"~0.17 s at order {MAX_ORACLE_LIMIT})"
-        )
+    refuse_past_oracle_limit(g.order, order_limit)
     order = g.order
     offset = order // 2
     plus = g.plus_masks
@@ -471,14 +479,15 @@ def _bound_parts(g: SignedCompleteGraph):
     matching or None when lo > 0): the bound and the walk's two ends."""
     order = g.order
     half = order // 2
-    plus, minus = sign_subgraph(g, 1).edges, sign_subgraph(g, -1).edges
+    minus = sign_subgraph(g, -1).edges
     minus_mm = blossom.maximum_matching(order, minus)
     lo = half - 2 * len(minus_mm)
-    hi = half  # all plus; nu_plus only matters when the lattice may reach 0
-    plus_mm = None
-    if lo <= 0:
-        plus_mm = blossom.maximum_matching(order, plus)
-        hi = 2 * len(plus_mm) - half
+    if lo > 0:
+        # the least-weight matching weighs lo, so it meets every parity step
+        return lo, minus_mm, None
+    plus = sign_subgraph(g, 1).edges
+    plus_mm = blossom.maximum_matching(order, plus)
+    hi = 2 * len(plus_mm) - half
     # (sign, parity): a matching's count of ``sign`` edges, (half + sign*w)/2,
     # must have this parity
     parities = []

@@ -50,6 +50,7 @@ from .solver import (
     local_search_min_weight,
     oracle_min_weight,
     pm_from_sign_max_matching,
+    refuse_past_oracle_limit,
 )
 
 CSV_COLUMNS = ("n", "k", "s", "seed", "min_weight", "bound", "pass")
@@ -197,11 +198,9 @@ def verify_theorem1(
     if not exhaustive:
         _require_samples(samples)
     order = 4 * n
-    if mode in ("oracle", "both") and order > oracle_limit:
-        raise ParameterError(
-            f"order {order} exceeds the oracle limit {oracle_limit}; raise the limit "
-            f"(--oracle-limit) or check with the solver alone (--mode solver)"
-        )
+    if mode in ("oracle", "both"):
+        refuse_past_oracle_limit(order, oracle_limit,
+                                 "check with the solver alone (--mode solver)")
 
     t0 = time.perf_counter()
     report = VerifyReport(
@@ -306,11 +305,7 @@ def verify_theorem2(
         raise ParameterError(f"grid must be 'full' or 'sampled', got {grid!r}")
     _require_samples(samples)
     order = 4 * n
-    if order > oracle_limit:
-        raise ParameterError(
-            f"order {order} exceeds the oracle limit {oracle_limit}; raise the limit "
-            f"(--oracle-limit)"
-        )
+    refuse_past_oracle_limit(order, oracle_limit)
 
     bound = thm2_bound(n, k)
     threshold = 2 * k - 2
@@ -426,7 +421,8 @@ def verify_erdos_gallai(
     n-k, then samples random graphs and checks the contrapositive: more
     edges than the bound forces matching number > n-k.  Failure entries
     embed the graph as the minus subgraph of a signed instance so they
-    round-trip through the instance parser.
+    round-trip through the instance parser; for the extremal graph that
+    instance is :func:`clique_instance`.
     """
     _require_samples(samples)
     t0 = time.perf_counter()
@@ -437,7 +433,7 @@ def verify_erdos_gallai(
     bound = eg_edge_bound(n, k)
 
     extremal = eg_extremal_graph(n, k)
-    extremal_instance = partial(_graph_as_minus_instance, extremal)
+    extremal_instance = partial(clique_instance, n, k)
     report.check(
         extremal_instance, f"edges {bound}", f"edges {extremal.edge_count}",
         extremal.edge_count == bound,

@@ -117,6 +117,28 @@ class TestSolveAndOracle:
         assert code == 0
         assert "warning" in err
 
+    def test_oracle_limit_above_the_maximum_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inst.sk"
+        run(capsys, "gen", "random", "--order", "8", "--imbalance", "0", "-o", str(path))
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", str(path), "--oracle-limit", "25"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert "--oracle-limit" in captured.err and "maximum is 24" in captured.err
+
+    @pytest.mark.parametrize("argv", [("oracle",), ("solve", "--check-oracle")],
+                             ids=["oracle", "solve"])
+    def test_past_oracle_limit_names_the_flag(self, tmp_path, capsys, argv):
+        path = tmp_path / "r20.sk"
+        run(capsys, "gen", "random", "--order", "20", "--seed", "1", "-o", str(path))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: order 20 exceeds the oracle limit 16")
+        assert err.count("\n") == 1
+        assert "--oracle-limit" in err and "order_limit" not in err
+
 
 class TestVerify:
     def test_thm1_exhaustive(self, capsys):
@@ -251,6 +273,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["verify", "prop2", "--k", "2", "--oracle-limit", "16"])
         assert info.value.code == 2
+
+    def test_import_leaves_the_process_pool_out(self):
+        # only sweep --jobs > 1 starts a pool; every other command skips its imports
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, lowpm.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, env=module_env(), timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_python_dash_m(self, tmp_path):
         env = module_env()

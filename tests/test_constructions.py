@@ -63,12 +63,15 @@ class TestProposition2Instance:
         assert sigma_total(proposition2_instance(k)) == 2
 
     def test_block_structure(self):
-        g = proposition2_instance(2)
-        size_a = 5
-        for u in range(g.order):
-            for v in range(u + 1, g.order):
-                crossing = (u < size_a) != (v < size_a)
-                assert g.sign(u, v) == (1 if crossing else -1)
+        # block A is the first (k^2+k)/2 + 2 vertices; +1 exactly across A and B
+        for k in (2, 4, 6):
+            g = proposition2_instance(k)
+            size_a = (k * k + k) // 2 + 2
+            assert g.order == k * k + 4
+            for u in range(g.order):
+                for v in range(u + 1, g.order):
+                    crossing = (u < size_a) != (v < size_a)
+                    assert g.sign(u, v) == (1 if crossing else -1)
 
     @pytest.mark.parametrize("k", [0, 1, 3, -2])
     def test_parameter_errors(self, k):
@@ -94,10 +97,14 @@ class TestCliqueInstance:
         assert sigma_total(g) == 66
 
     def test_clique_occupies_lowest_vertices(self):
-        g = clique_instance(3, 1)  # clique of order 10 in K_12
-        assert g.sign(0, 9) == 1
-        assert g.sign(0, 10) == -1
-        assert g.sign(10, 11) == -1
+        # +1 exactly on the pairs inside the first 3n+k vertices
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                g = clique_instance(n, k)
+                assert g.order == 4 * n
+                for u in range(g.order):
+                    for v in range(u + 1, g.order):
+                        assert g.sign(u, v) == (1 if v < 3 * n + k else -1)
 
     def test_imbalance_matches_bound_small_sweep(self):
         for n in range(1, 13):

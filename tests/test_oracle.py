@@ -137,6 +137,16 @@ class TestOracle:
         with pytest.raises(OracleLimitError):
             oracle_min_weight(g, order_limit=16)
 
+    def test_order_past_the_maximum_is_not_told_to_raise_the_limit(self):
+        # the limit cannot go past MAX_ORACLE_LIMIT, so the refusal says so instead
+        g = random_with_imbalance(26, 1, 0)
+        with pytest.raises(OracleLimitError) as info:
+            oracle_min_weight(g)
+        message = str(info.value)
+        assert message.startswith("order 26 exceeds the oracle limit 16")
+        assert "the most --oracle-limit accepts, 24" in message
+        assert "raise the limit" not in message
+
     def test_order_limit_override(self):
         g = random_with_imbalance(18, 1, 0)
         w, witness = oracle_min_weight(g, order_limit=18)
