@@ -22,13 +22,11 @@ lowest-indexed vertices.
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .core import (
     ParameterError,
     SignedCompleteGraph,
     SimpleGraph,
-    iter_pairs,
+    _pair_subgraph,
     pair_count,
     sign_subgraph,
 )
@@ -132,5 +130,4 @@ def random_graph(order: int, seed: int) -> SimpleGraph:
     One ``bounded(2)`` draw per pair, in canonical pair order.  2^64 is
     even, so ``bounded(2)`` never rejects a word and is its low bit.
     """
-    bits = [word & 1 for word in SplitMix64(seed)._words(pair_count(order))]
-    return SimpleGraph(order, tuple(compress(iter_pairs(order), bits)))
+    return _pair_subgraph(order, SplitMix64(seed)._low_bits(pair_count(order)))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, repeat
 from operator import eq
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Pair = tuple[int, int]
 
@@ -212,12 +212,23 @@ class SimpleGraph:
         return len(self.edges)
 
 
+def _pair_subgraph(order: int, selectors: Iterable) -> SimpleGraph:
+    """The graph of the canonical pairs of K_order that ``selectors`` picks.
+
+    Its edges are canonical by construction, so ``SimpleGraph``'s per-edge
+    check, which costs as much as building them, is skipped.
+    """
+    graph = object.__new__(SimpleGraph)
+    object.__setattr__(graph, "order", order)
+    object.__setattr__(graph, "edges", tuple(compress(iter_pairs(order), selectors)))
+    return graph
+
+
 def sign_subgraph(g: SignedCompleteGraph, sign: int) -> SimpleGraph:
     """The spanning subgraph of edges carrying the given sign."""
     if sign not in (-1, 1):
         raise ParameterError(f"sign must be -1 or +1, got {sign}")
-    edges = compress(iter_pairs(g.order), map(eq, g.signs, repeat(sign)))
-    return SimpleGraph(g.order, tuple(edges))
+    return _pair_subgraph(g.order, map(eq, g.signs, repeat(sign)))
 
 
 def sigma_total(g: SignedCompleteGraph) -> int:

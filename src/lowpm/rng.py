@@ -18,13 +18,18 @@ Derived procedures are likewise pinned:
 * ``sample_indices(p, c)``: partial Fisher-Yates from the front of
   ``[0, ..., p-1]``; the first ``c`` slots, sorted, are the sample.
 
-Batched draws: ``random_graph`` and ``sample_indices`` take their words
-from one local-variable loop (``SplitMix64._words``) that yields exactly
-the words successive ``next_u64`` calls would, and stores the state back
-when the caller stops.  ``sample_indices`` stops a batch at a word the
-``bounded`` rule rejects, keeps that word drawn and starts the next batch
-after it, so every procedure above draws the same stream as its
-one-word-at-a-time transcription.
+Packed draws: ``random_graph`` (through ``_low_bits``) and
+``sample_indices`` compute up to ``_CHUNK`` words at once in big-int
+arithmetic.  Word i of a chunk sits in bits 128i..128i+63 of one Python
+int, whose lanes start as the states ``state + (i+1)*gamma mod 2^64``; each
+mixing step is one shift, XOR, multiply and mask over the whole int.  A
+64 x 64-bit product fits in its 128-bit lane, and the mask after each step
+drops what a shift pulled in from the next lane, so every lane holds exactly
+the word ``next_u64`` would give.  ``sample_indices`` runs Fisher-Yates over
+a chunk's words; at a word the ``bounded`` rule rejects it keeps that word
+drawn and starts the next chunk after it.  Either way the state is left at
+``start + taken*gamma``, so every procedure above draws the same stream as
+its one-word-at-a-time transcription.
 
 Seed streams: a sweep with master seed ``s`` draws one 64-bit word per
 instance from ``SplitMix64(s)`` and uses it as that instance's seed.
@@ -32,13 +37,51 @@ instance from ``SplitMix64(s)`` and uses it as that instance's seed.
 
 from __future__ import annotations
 
-from typing import Iterator
+import sys
+from array import array
+from functools import cache
 
 _SPAN = 1 << 64
 _MASK64 = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# Words per packed draw: each lane is 16 bytes, so a chunk's ints stay ~16 KB.
+_CHUNK = 1024
+
+
+@cache
+def _lane_constants() -> tuple[int, int, int]:
+    """``_CHUNK`` 128-bit lanes holding (i+1)*gamma mod 2^64, 1 and 2^64 - 1.
+
+    Built on the first packed draw, not at import."""
+    steps = b"".join(((i + 1) * _GAMMA & _MASK64).to_bytes(16, "little")
+                     for i in range(_CHUNK))
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _CHUNK, "little")
+    return int.from_bytes(steps, "little"), ones, ones * _MASK64
+
+
+def _mixed_lanes(state: int, count: int) -> tuple[int, int, int]:
+    """The ``count`` <= ``_CHUNK`` words after ``state`` before the output
+    xorshift, lane i in bits 128i..128i+63, with the ones and mask of the lanes."""
+    steps, ones, mask = _lane_constants()
+    if count < _CHUNK:
+        cut = (1 << 128 * count) - 1
+        steps, ones, mask = steps & cut, ones & cut, mask & cut
+    z = (state * ones + steps) & mask
+    z = ((z ^ z >> 30) & mask) * _MIX1 & mask
+    z = ((z ^ z >> 27) & mask) * _MIX2 & mask
+    return z, ones, mask
+
+
+def _chunk_words(state: int, count: int) -> list[int]:
+    """The ``count`` <= ``_CHUNK`` words after ``state``."""
+    z, _, mask = _mixed_lanes(state, count)
+    lanes = array("Q", ((z ^ z >> 31) & mask).to_bytes(16 * count, "little"))
+    if sys.byteorder != "little":
+        lanes.byteswap()
+    return lanes[0::2].tolist()
 
 
 class SplitMix64:
@@ -56,21 +99,15 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def _words(self, count: int) -> Iterator[int]:
-        """The next ``count`` outputs of :meth:`next_u64`, drawn in one loop.
-
-        ``state`` is written back when the generator finishes or is closed,
-        so a caller that stops early has drawn exactly the words it took.
-        """
-        state = self.state
-        try:
-            for _ in range(count):
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                yield z ^ (z >> 31)
-        finally:
-            self.state = state
+    def _low_bits(self, count: int) -> bytes:
+        """Bit 0 of each of the next ``count`` words, one byte (0 or 1) per word."""
+        chunks = []
+        for start in range(0, count, _CHUNK):
+            size = min(_CHUNK, count - start)
+            z, ones, _ = _mixed_lanes(self.state, size)
+            chunks.append(((z ^ z >> 31) & ones).to_bytes(16 * size, "little")[::16])
+            self.state = (self.state + size * _GAMMA) & _MASK64
+        return b"".join(chunks)
 
     def bounded(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling."""
@@ -93,15 +130,19 @@ class SplitMix64:
         if not 0 <= count <= population:
             raise ValueError(f"cannot sample {count} of {population}")
         pool = list(range(population))
+        # bounded(n) rejects only words >= 2^64 - (2^64 mod n) > 2^64 - population
+        risky = _SPAN - population
+        state = self.state
         i = 0
         while i < count:
-            words = self._words(count - i)
-            for word in words:
+            words = _chunk_words(state, min(_CHUNK, count - i))
+            for taken, word in enumerate(words, 1):
                 n = population - i
-                if word >= _SPAN - _SPAN % n:
-                    break  # rejected as in bounded(): the next batch starts after it
+                if word > risky and word >= _SPAN - _SPAN % n:
+                    break  # rejected as in bounded(): the next chunk starts after it
                 j = i + word % n
                 pool[i], pool[j] = pool[j], pool[i]
                 i += 1
-            words.close()
+            state = (state + taken * _GAMMA) & _MASK64
+        self.state = state
         return sorted(pool[:count])

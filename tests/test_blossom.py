@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from lowpm import (
+    InvalidPairError,
     SignedCompleteGraph,
     SplitMix64,
     clique_instance,
@@ -35,6 +36,12 @@ def assert_valid_matching(order, edges, matching):
 class TestMaximumMatching:
     def test_empty_graph(self):
         assert maximum_matching(5, ()) == ()
+
+    @pytest.mark.parametrize("edge", [(-1, 2), (2, 1), (0, 6)])
+    def test_rejects_edge_out_of_range(self, edge):
+        # a negative endpoint would otherwise index an adjacency list from the end
+        with pytest.raises(InvalidPairError, match=rf"edge \({edge[0]},{edge[1]}\) out of range"):
+            maximum_matching(6, ((0, 1), edge, (3, 4)))
 
     def test_single_edge(self):
         assert maximum_matching(2, ((0, 1),)) == ((0, 1),)

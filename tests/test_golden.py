@@ -49,6 +49,22 @@ def test_stdout_digest(argv):
     assert stdout_digest(argv) == GOLDEN[argv]
 
 
+# Each case above draws at most 1,128 words per instance, less than one chunk of
+# rng's packed draw; these draw 9,950 sampled words and 19,900 words per graph.
+LONG_STREAM_GOLDEN = {
+    ("gen", "random", "--order", "200", "--imbalance", "0", "--seed", "7"):
+        "1301148d5fe33958874d619a8ed0bce3f243801b1a2feb228cc5a03641188158",
+    ("verify", "eg", "--n", "50", "--k", "1", "--samples", "3", "--seed", "5",
+     "--format", "csv"):
+        "5d62d9953a0f5053a3348e75ef36c42c4c13053227d0109a1c5a07c409084580",
+}
+
+
+@pytest.mark.parametrize("argv", list(LONG_STREAM_GOLDEN), ids=lambda argv: " ".join(argv[:2]))
+def test_long_stream_stdout_digest(argv):
+    assert stdout_digest(argv) == LONG_STREAM_GOLDEN[argv]
+
+
 # solve reads its instance from a file, so each case names the ``gen`` arguments
 # that write it; the path never reaches stdout.  In the ``walk`` case the r = 2
 # descent stalls above the bound, so its matching comes from the walk.

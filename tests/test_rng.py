@@ -1,8 +1,11 @@
 """The pinned RNG: reference vectors and derived sampling procedures."""
 
+from itertools import islice
+
 import pytest
 
 from lowpm import SplitMix64
+from lowpm.rng import _CHUNK, _chunk_words
 
 from helpers import reference_sample_indices, reference_stream, reference_words
 
@@ -97,10 +100,11 @@ def _state_drawing(word, ahead):
     return (z - ahead * 0x9E3779B97F4A7C15) & mask
 
 
-@pytest.mark.parametrize("accepted_before", [0, 1, 3])
+@pytest.mark.parametrize("accepted_before", [0, 1, 3, _CHUNK - 1, _CHUNK])
 def test_sample_indices_rejection_matches_reference(accepted_before):
     # 2^64 mod 3 = 1, so bounded(3) rejects exactly the word 2^64 - 1;
-    # place it where the draw for a population of 3 remaining slots falls
+    # place it where the draw for a population of 3 remaining slots falls:
+    # at _CHUNK - 1 it ends the first packed chunk, at _CHUNK it starts the second
     top = (1 << 64) - 1
     seed = _state_drawing(top, accepted_before + 1)
     assert reference_stream(seed, accepted_before + 1)[-1] == top
@@ -111,3 +115,25 @@ def test_sample_indices_rejection_matches_reference(accepted_before):
         assert rng.sample_indices(population, count) == reference_sample_indices(
             words, population, count)
         assert rng.next_u64() == next(words)
+
+
+# The state is exactly 0 at word _CHUNK // 2, so the lanes after it restart from
+# gamma; seeds 0 and 2^64 - 1 start at the two ends of the state range.
+PACKED_SEEDS = [0, 2**64 - 1, -(_CHUNK // 2) * 0x9E3779B97F4A7C15 % 2**64]
+PACKED_COUNTS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+
+
+@pytest.mark.parametrize("seed", PACKED_SEEDS)
+@pytest.mark.parametrize("count", PACKED_COUNTS)
+def test_packed_draw_matches_reference(seed, count):
+    if count <= _CHUNK:
+        assert _chunk_words(seed, count) == reference_stream(seed, count)
+    rng = SplitMix64(seed)
+    words = reference_words(seed)
+    assert list(rng._low_bits(count)) == [w & 1 for w in islice(words, count)]
+    assert rng.next_u64() == next(words)
+    rng = SplitMix64(seed)
+    words = reference_words(seed)
+    assert rng.sample_indices(count + 7, count) == reference_sample_indices(
+        words, count + 7, count)
+    assert rng.next_u64() == next(words)
