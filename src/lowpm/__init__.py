@@ -1,8 +1,9 @@
 """Low-weight perfect matchings in +/-1 edge-labeled complete graphs.
 
-Public surface, by area:
+Public surface, by area; it is what the CLI, the verifier and the tests
+call:
 
-* types and sign arithmetic: :mod:`lowpm.core`
+* types, sign arithmetic and the text formats: :mod:`lowpm.core`
 * exchange local search, certified lower bound, exact oracle,
   sign-restricted matchings: :mod:`lowpm.solver`
 * instance families and closed-form bounds: :mod:`lowpm.constructions`
@@ -32,10 +33,8 @@ from .core import (
     SimpleGraph,
     canonical_pair_index,
     iter_pairs,
-    matching_split,
     pair_count,
     parse_instance,
-    parse_matching,
     serialize_instance,
     serialize_matching,
     sigma_matching,
@@ -45,15 +44,10 @@ from .core import (
 from .rng import SplitMix64
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
-    Exchange,
     OracleLimitError,
     SolveReport,
-    apply_exchange,
-    enumerate_exchanges,
-    enumerate_perfect_matchings,
     local_search_min_weight,
     lower_bound,
-    max_matching,
     oracle_min_weight,
     pm_from_sign_max_matching,
     random_perfect_matching,
@@ -71,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_ORACLE_LIMIT",
-    "Exchange",
     "InstanceFormatError",
     "InvalidPairError",
     "LowpmError",
@@ -85,24 +78,18 @@ __all__ = [
     "SolveReport",
     "SplitMix64",
     "VerifyReport",
-    "apply_exchange",
     "canonical_pair_index",
     "clique_instance",
     "eg_edge_bound",
     "eg_extremal_graph",
-    "enumerate_exchanges",
-    "enumerate_perfect_matchings",
     "iter_pairs",
     "local_search_min_weight",
     "lower_bound",
     "matching_number",
-    "matching_split",
-    "max_matching",
     "maximum_matching",
     "oracle_min_weight",
     "pair_count",
     "parse_instance",
-    "parse_matching",
     "pm_from_sign_max_matching",
     "proposition2_instance",
     "random_graph",

@@ -34,6 +34,7 @@ from .solver import (
     ORACLE_COST,
     local_search_min_weight,
     oracle_min_weight,
+    refuse_past_oracle_limit,
 )
 from .verifier import (
     VerifyReport,
@@ -176,10 +177,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _read_instance(args.instance)
+    if args.check_oracle:
+        # refuse before the search, which can take far longer than refusing
+        _warn_oracle_limit(args.oracle_limit)
+        refuse_past_oracle_limit(g.order, args.oracle_limit)
     matching, report = local_search_min_weight(g, seed=args.seed)
     exit_code = 0
     if args.check_oracle:
-        _warn_oracle_limit(args.oracle_limit)
         oracle_min, _ = oracle_min_weight(g, args.oracle_limit)
         report.oracle_checked = True
         report.oracle_min_weight = oracle_min
@@ -236,7 +240,8 @@ def _emit_report(report: VerifyReport, fmt: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.statement not in ("prop2", "eg"):
+    # prop2, eg and thm1 --mode solver never call the oracle
+    if args.statement in ("thm2", "tight") or (args.statement == "thm1" and args.mode != "solver"):
         _warn_oracle_limit(args.oracle_limit)
     if args.statement == "thm1":
         report = verify_theorem1(
@@ -280,10 +285,11 @@ def _cmd_sweep(args) -> int:
     if not jobs:
         raise LowpmError("empty sweep grid: check --n-min/--n-max/--k-min/--k-max")
 
-    if args.jobs > 1:
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, jobs))
     else:
         results = [_sweep_cell(job) for job in jobs]

@@ -18,8 +18,8 @@ This module also owns the two text formats used throughout the package:
   whitespace inside the sign block is ignored, so long sign strings may be
   wrapped over several lines.
 
-* matchings on one line: ``matching 0-3 1-2`` with each pair ``a-b``
-  satisfying ``a < b`` and pairs sorted by first endpoint.
+* matchings on one line, written but never read: ``matching 0-3 1-2`` with
+  each pair ``a-b`` satisfying ``a < b`` and pairs sorted by first endpoint.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class ParameterError(LowpmError, ValueError):
 
 
 class InstanceFormatError(LowpmError, ValueError):
-    """Malformed instance or matching text.
+    """Malformed instance text.
 
     Carries the 1-based ``line`` and ``column`` of the first offending
     character when that position is meaningful.
@@ -236,29 +236,15 @@ def sigma_total(g: SignedCompleteGraph) -> int:
     return g.plus_count - g.minus_count
 
 
-def _require_matches_order(g: SignedCompleteGraph, m: PerfectMatching) -> None:
-    if m.order != g.order:
-        raise MatchingError(f"matching covers {m.order} vertices, graph has order {g.order}")
-
-
 def sigma_matching(g: SignedCompleteGraph, m: PerfectMatching) -> int:
     """Weight of a perfect matching: the sum of its edge labels.
 
     Equals ``order/2 - 2 * (number of minus edges in m)``, so its parity is
     fixed by the order: even whenever order/2 is even (e.g. order 4n).
     """
-    _require_matches_order(g, m)
+    if m.order != g.order:
+        raise MatchingError(f"matching covers {m.order} vertices, graph has order {g.order}")
     return sum(g.sign(a, b) for a, b in m.pairs)
-
-
-def matching_split(
-    g: SignedCompleteGraph, m: PerfectMatching
-) -> tuple[tuple[Pair, ...], tuple[Pair, ...]]:
-    """Partition the matching into its plus edges and minus edges."""
-    _require_matches_order(g, m)
-    plus = tuple(p for p in m.pairs if g.sign(*p) > 0)
-    minus = tuple(p for p in m.pairs if g.sign(*p) < 0)
-    return plus, minus
 
 
 # ---------------------------------------------------------------------------
@@ -337,29 +323,3 @@ def serialize_matching(pairs: tuple[Pair, ...]) -> str:
     """One-line matching form, e.g. ``matching 0-3 1-2``."""
     return "matching " + " ".join(f"{a}-{b}" for a, b in pairs) if pairs else "matching"
 
-
-def parse_matching(text: str) -> tuple[Pair, ...]:
-    """Parse the one-line matching form into a canonical pair tuple.
-
-    Validates canonical order and pairwise disjointness; perfectness is the
-    caller's concern (wrap in :class:`PerfectMatching` when required).
-    """
-    tokens = text.split()
-    if not tokens or tokens[0] != "matching":
-        raise InstanceFormatError("expected leading keyword 'matching'", line=1, column=1)
-    pairs: list[Pair] = []
-    seen: set[int] = set()
-    for tok in tokens[1:]:
-        a_str, sep, b_str = tok.partition("-")
-        a, b = _decimal(a_str), _decimal(b_str)
-        if not sep or a is None or b is None:
-            raise InstanceFormatError(f"expected 'a-b' pair, got {tok!r}", line=1, column=1)
-        if a >= b:
-            raise InstanceFormatError(f"pair {tok!r} must satisfy a < b", line=1, column=1)
-        if pairs and a < pairs[-1][0]:
-            raise InstanceFormatError("pairs must be sorted ascending by first endpoint", line=1, column=1)
-        if a in seen or b in seen:
-            raise InstanceFormatError(f"vertex reused in pair {tok!r}", line=1, column=1)
-        seen.update((a, b))
-        pairs.append((a, b))
-    return tuple(pairs)

@@ -3,9 +3,8 @@
 The local move replaces ``r`` edges of the current perfect matching with a
 different perfect matching on the same ``2r`` vertices (their symmetric
 difference is a union of alternating cycles).  One scan generates every
-move with r in {2, 3, 4}, for the search and for the public
-:func:`enumerate_exchanges`; it reads signs straight from the instance's
-flat ``signs`` tuple through per-row offsets computed once per call.
+move with r in {2, 3, 4}; it reads signs straight from the instance's flat
+``signs`` tuple through per-row offsets computed once per call.
 
 A solve has one route: an r = 2 descent to the parity floor; on a stall
 above it, the certified :func:`lower_bound`; on a stall above the bound, the
@@ -70,36 +69,6 @@ def refuse_past_oracle_limit(order: int, limit: int, other_way: str = "") -> Non
     raise OracleLimitError(f"order {order} exceeds the oracle limit {limit}{ways} ({ORACLE_COST})")
 
 
-@dataclass(frozen=True)
-class Exchange:
-    """Replace ``removed`` (edges of the current matching) by ``added``.
-
-    Both sides are canonical pair tuples on the same 2r vertices, edge
-    disjoint from each other; ``delta`` is the weight shift
-    sigma(added) - sigma(removed) and is always even.
-    """
-
-    removed: tuple[Pair, ...]
-    added: tuple[Pair, ...]
-    delta: int
-
-    def __post_init__(self) -> None:
-        r = len(self.removed)
-        if r not in R_LEVELS or len(self.added) != r:
-            raise MatchingError(f"exchange must touch 2, 3 or 4 matching edges, got {r}")
-        removed_verts = {v for p in self.removed for v in p}
-        added_verts = {v for p in self.added for v in p}
-        if removed_verts != added_verts or len(removed_verts) != 2 * r:
-            raise MatchingError("added edges must cover exactly the removed vertices")
-        if set(self.removed) & set(self.added):
-            raise MatchingError("added edges must be disjoint from removed edges")
-
-    def inverse(self) -> "Exchange":
-        return Exchange(removed=tuple(sorted(self.added)),
-                        added=tuple(sorted(self.removed)),
-                        delta=-self.delta)
-
-
 @dataclass
 class SolveReport:
     """Trace of one local-search run.
@@ -151,32 +120,6 @@ def _pairings(verts: tuple[int, ...]) -> Iterator[tuple[Pair, ...]]:
         rest = verts[1:i] + verts[i + 1:]
         for tail in _pairings(rest):
             yield ((u, verts[i]),) + tail
-
-
-def enumerate_exchanges(g: SignedCompleteGraph, m: PerfectMatching, r: int) -> Iterator[Exchange]:
-    """Every exchange touching exactly r matching edges, deterministic order.
-
-    For each r-subset of matching edges there are 2 (r=2), 8 (r=3) or 60
-    (r=4) crossing pairings that avoid all removed edges; subsets and
-    pairings are both scanned lexicographically.
-    """
-    if r not in R_LEVELS:
-        raise ParameterError(f"r must be one of {R_LEVELS}, got {r}")
-    if 2 * r > g.order:
-        raise ParameterError(f"r={r} needs at least {2 * r} vertices, order is {g.order}")
-    if m.order != g.order:
-        raise MatchingError(f"matching covers {m.order} vertices, graph has order {g.order}")
-    for idxs, added, delta in _iter_raw_moves(g.signs, _row_offsets(g.order), m.pairs, r):
-        yield Exchange(removed=tuple(m.pairs[i] for i in idxs), added=added, delta=delta)
-
-
-def apply_exchange(m: PerfectMatching, x: Exchange) -> PerfectMatching:
-    """The matching after the exchange; weight shifts by exactly x.delta."""
-    current = set(m.pairs)
-    removed = set(x.removed)
-    if not removed <= current:
-        raise MatchingError("exchange removes edges that are not in the matching")
-    return PerfectMatching(tuple(sorted((current - removed) | set(x.added))))
 
 
 def random_perfect_matching(order: int, rng: SplitMix64) -> PerfectMatching:
@@ -348,14 +291,6 @@ def local_search_min_weight(
 # Exact oracle
 
 
-def enumerate_perfect_matchings(order: int) -> Iterator[PerfectMatching]:
-    """All perfect matchings of K_order in lexicographic canonical order."""
-    if order < 2 or order % 2:
-        raise ParameterError(f"order must be an even integer >= 2, got {order}")
-    for pairs in _pairings(tuple(range(order))):
-        yield PerfectMatching(pairs)
-
-
 def oracle_min_weight(
     g: SignedCompleteGraph, order_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> tuple[int, PerfectMatching]:
@@ -503,12 +438,6 @@ def _bound_parts(g: SignedCompleteGraph):
     return bound, minus_mm, plus_mm
 
 
-def max_matching(g: SignedCompleteGraph, sign: int) -> tuple[Pair, ...]:
-    """Maximum matching of the subgraph of edges carrying ``sign``."""
-    sub = sign_subgraph(g, sign)
-    return blossom.maximum_matching(sub.order, sub.edges)
-
-
 def pm_from_sign_max_matching(g: SignedCompleteGraph, sign: int) -> PerfectMatching:
     """Perfect matching built from a maximum matching of one sign class.
 
@@ -518,9 +447,8 @@ def pm_from_sign_max_matching(g: SignedCompleteGraph, sign: int) -> PerfectMatch
     ``(order/2 - 2*nu) * (-sign)`` where nu is the sign's matching number;
     for sign=-1 that is order/2 - 2*nu.
     """
-    if g.order % 2:
-        raise ParameterError("perfect matchings need even order")
-    return complete_sign_matching(g, max_matching(g, sign), sign)
+    sub = sign_subgraph(g, sign)
+    return complete_sign_matching(g, blossom.maximum_matching(sub.order, sub.edges), sign)
 
 
 def complete_sign_matching(

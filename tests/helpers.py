@@ -10,7 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 
-from lowpm import SignedCompleteGraph, sigma_total  # noqa: F401  (re-export convenience)
+from lowpm import PerfectMatching, SignedCompleteGraph, solver
+from lowpm import sigma_total  # noqa: F401  (re-export convenience)
 
 
 def iter_pairings_desc(verts: tuple[int, ...]):
@@ -69,6 +70,39 @@ def brute_matching_number(order: int, edges) -> int:
     result = rec((1 << order) - 1)
     rec.cache_clear()
     return result
+
+
+def sigma_by_index(g: SignedCompleteGraph, pairs) -> int:
+    """Sum of the pairs' labels, read through README's closed-form index
+    ``u*order - u*(u+1)/2 + (v-u-1)`` rather than the package's lookup."""
+    order = g.order
+    total = 0
+    for a, b in pairs:
+        u, v = min(a, b), max(a, b)
+        total += g.signs[u * order - u * (u + 1) // 2 + (v - u - 1)]
+    return total
+
+
+def raw_moves(g: SignedCompleteGraph, m: PerfectMatching, r: int):
+    """The local search's own scan at ``r``: (removed_idxs, added, delta)."""
+    return solver._iter_raw_moves(g.signs, solver._row_offsets(g.order), m.pairs, r)
+
+
+def assert_sound_move(g: SignedCompleteGraph, m: PerfectMatching, move) -> PerfectMatching:
+    """Check one scan move and return the matching after it.
+
+    Its added pairs cover exactly the 2r removed vertices and share no edge
+    with the removed ones, the result is a valid :class:`PerfectMatching`,
+    and delta is the difference of :func:`sigma_by_index` across the move.
+    """
+    idxs, added, delta = move
+    removed = [m.pairs[i] for i in idxs]
+    assert len(added) == len(removed)
+    assert sorted(v for p in added for v in p) == sorted(v for p in removed for v in p)
+    assert not set(added) & set(removed)
+    after = PerfectMatching(solver._edges_after(m.pairs, idxs, added))
+    assert sigma_by_index(g, after.pairs) - sigma_by_index(g, m.pairs) == delta
+    return after
 
 
 def crossing_pairings(removed: tuple) -> list[tuple]:

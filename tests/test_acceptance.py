@@ -13,11 +13,9 @@ import pytest
 from lowpm import (
     PerfectMatching,
     SplitMix64,
-    apply_exchange,
     clique_instance,
     eg_edge_bound,
     eg_extremal_graph,
-    enumerate_exchanges,
     local_search_min_weight,
     matching_number,
     oracle_min_weight,
@@ -38,7 +36,13 @@ from lowpm import (
     verify_tightness,
 )
 
-from helpers import brute_matching_number, brute_min_weight, brute_perfect_matchings
+from helpers import (
+    assert_sound_move,
+    brute_matching_number,
+    brute_min_weight,
+    brute_perfect_matchings,
+    raw_moves,
+)
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
@@ -185,7 +189,8 @@ def test_criterion_7_erdos_gallai():
 
 
 def test_criterion_8_property_suites():
-    # exchange-delta soundness on >= 1e5 random triples
+    # exchange soundness on >= 1e5 random triples: cover, disjointness,
+    # a valid result and delta against sigma recomputed by index
     rng = SplitMix64(808)
     instances = []
     for order in (8, 10, 12):
@@ -197,12 +202,10 @@ def test_criterion_8_property_suites():
     for round_idx in range(1000):
         g = instances[round_idx % len(instances)]
         m = random_perfect_matching(g.order, rng)
-        w = sigma_matching(g, m)
         for r in (2, 3, 4):
-            moves = list(enumerate_exchanges(g, m, r))
+            moves = list(raw_moves(g, m, r))
             for _ in range(34):
-                x = moves[rng.bounded(len(moves))]
-                assert sigma_matching(g, apply_exchange(m, x)) - w == x.delta
+                assert_sound_move(g, m, moves[rng.bounded(len(moves))])
                 triples += 1
     exchange_ok = triples >= 100_000
 

@@ -1,5 +1,5 @@
 """General-graph maximum matching against brute force, plus the
-sign-restricted wrappers built on it."""
+sign-restricted matchings built on it."""
 
 import networkx as nx
 import pytest
@@ -11,7 +11,6 @@ from lowpm import (
     clique_instance,
     eg_extremal_graph,
     matching_number,
-    max_matching,
     maximum_matching,
     pair_count,
     pm_from_sign_max_matching,
@@ -153,11 +152,16 @@ class TestHungarianTreePruning:
         assert_maximum(minus.order, minus.edges)
 
 
+def sign_matching_number(g, sign):
+    sub = sign_subgraph(g, sign)
+    return matching_number(sub.order, sub.edges)
+
+
 class TestSignRestricted:
     def test_all_plus_minus_side_empty(self):
         g = SignedCompleteGraph(8, (1,) * pair_count(8))
-        assert max_matching(g, -1) == ()
-        assert len(max_matching(g, 1)) == 4
+        assert maximum_matching(8, sign_subgraph(g, -1).edges) == ()
+        assert sign_matching_number(g, 1) == 4
 
     def test_clique_instance_minus_star(self):
         # K_12 with one vertex outside the plus-clique: minus edges form a
@@ -165,13 +169,13 @@ class TestSignRestricted:
         g = clique_instance(3, 2)
         minus = sign_subgraph(g, -1)
         assert all(11 in pair for pair in minus.edges)
-        assert len(max_matching(g, -1)) == 1
+        assert sign_matching_number(g, -1) == 1
 
     def test_random_minus_subgraphs_against_brute_force(self):
         for seed in range(15):
             g = random_with_imbalance(10, 2 * seed - 15, seed)
             sub = sign_subgraph(g, -1)
-            assert len(max_matching(g, -1)) == brute_matching_number(sub.order, sub.edges)
+            assert sign_matching_number(g, -1) == brute_matching_number(sub.order, sub.edges)
 
 
 class TestConstructivePerfectMatching:
@@ -188,10 +192,10 @@ class TestConstructivePerfectMatching:
     def test_balanced_weight_formula(self):
         for seed in range(20):
             g = random_with_imbalance(8, 0, seed + 100)
-            nu_minus = len(max_matching(g, -1))
+            nu_minus = sign_matching_number(g, -1)
             pm = pm_from_sign_max_matching(g, -1)
             assert sigma_matching(g, pm) == 4 - 2 * nu_minus
-            nu_plus = len(max_matching(g, 1))
+            nu_plus = sign_matching_number(g, 1)
             pm = pm_from_sign_max_matching(g, 1)
             assert sigma_matching(g, pm) == 2 * nu_plus - 4
 

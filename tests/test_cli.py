@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from lowpm import cli
 from lowpm.cli import main
 
 
@@ -140,6 +141,18 @@ class TestSolveAndOracle:
         assert "--oracle-limit" in err and "order_limit" not in err
 
 
+    def test_check_oracle_refuses_before_the_search(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "r20.sk"
+        run(capsys, "gen", "random", "--order", "20", "--seed", "1", "-o", str(path))
+        calls = []
+        monkeypatch.setattr(cli, "local_search_min_weight", lambda *a, **kw: calls.append(a))
+        code, out, err = run(capsys, "solve", str(path), "--check-oracle")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: order 20 exceeds the oracle limit 16")
+        assert calls == []
+
+
 class TestVerify:
     def test_thm1_exhaustive(self, capsys):
         code, out, _ = run(capsys, "verify", "thm1", "--n", "1", "--exhaustive")
@@ -203,6 +216,13 @@ class TestVerify:
         assert all(way in err for way in ways_out)
         assert "mode='solver'" not in err
 
+    @pytest.mark.parametrize("mode,warns", [("solver", False), ("both", True)])
+    def test_oracle_cost_warning_only_when_the_oracle_runs(self, capsys, mode, warns):
+        code, _, err = run(capsys, "verify", "thm1", "--n", "1", "--samples", "2",
+                           "--mode", mode, "--oracle-limit", "18")
+        assert code == 0
+        assert ("warning: oracle limit 18" in err) == warns
+
     def test_thm1_exhaustive_ignores_samples(self, capsys):
         code, out, _ = run(capsys, "verify", "thm1", "--n", "1", "--exhaustive",
                            "--samples", "0")
@@ -226,6 +246,34 @@ class TestSweep:
         code2, out2, _ = run(capsys, *args, "--jobs", "2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("n_max,workers", [(1, None), (2, 2)])
+    def test_jobs_capped_at_grid_cells(self, capsys, monkeypatch, n_max, workers):
+        # a fake pool that records its size and maps in this process: a real
+        # pool forks all of its workers at the first submit
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        args = ["sweep", "tight", "--n-max", str(n_max), "--k-min", "1", "--k-max", "1"]
+        code, out, _ = run(capsys, *args, "--jobs", "4")
+        assert code == 0
+        assert sizes == ([] if workers is None else [workers])
+        assert out == run(capsys, *args)[1]
 
     @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"),
                                             ("--jobs", "0"), ("--jobs", "-1")])

@@ -1,4 +1,8 @@
-"""Exchange enumeration, application and delta soundness."""
+"""The exchange-move scan: enumeration order, move shape and delta soundness.
+
+Every move here comes from the scan the local search itself runs, as
+(removed_idxs, added_pairs, delta); see :func:`helpers.raw_moves`.
+"""
 
 from itertools import combinations, groupby
 from math import comb, prod
@@ -6,21 +10,16 @@ from math import comb, prod
 import pytest
 
 from lowpm import (
-    Exchange,
-    MatchingError,
-    ParameterError,
     PerfectMatching,
     SignedCompleteGraph,
-    apply_exchange,
-    enumerate_exchanges,
-    pair_count,
     random_perfect_matching,
     random_with_imbalance,
     sigma_matching,
     SplitMix64,
 )
+from lowpm import solver
 
-from helpers import crossing_pairings
+from helpers import assert_sound_move, crossing_pairings, raw_moves
 
 
 def double_factorial(n):
@@ -43,10 +42,14 @@ def k4_two_plus():
     )
 
 
+def removed_pairs(m, idxs):
+    return tuple(m.pairs[i] for i in idxs)
+
+
 class TestEnumeration:
     def test_counts_on_k8(self):
         g = random_with_imbalance(8, 0, 1)
-        counts = {r: sum(1 for _ in enumerate_exchanges(g, M8, r)) for r in (2, 3, 4)}
+        counts = {r: sum(1 for _ in raw_moves(g, M8, r)) for r in (2, 3, 4)}
         assert counts[2] == comb(4, 2) * 2 == 12
         assert counts[3] == comb(4, 3) * crossing_count(3) == 32
         # pinned: 60 crossing pairings of 8 vertices avoiding 4 removed edges
@@ -58,8 +61,8 @@ class TestEnumeration:
         g = random_with_imbalance(12, 0, 2)
         m = PerfectMatching(tuple((2 * i, 2 * i + 1) for i in range(6)))
         by_subset = {}
-        for x in enumerate_exchanges(g, m, r):
-            by_subset.setdefault(x.removed, []).append(x.added)
+        for idxs, added, _ in raw_moves(g, m, r):
+            by_subset.setdefault(removed_pairs(m, idxs), []).append(added)
         assert len(by_subset) == comb(6, r)
         for removed, added_list in by_subset.items():
             expected = crossing_pairings(removed)
@@ -69,36 +72,27 @@ class TestEnumeration:
     def test_k4_example_exchanges(self):
         g = k4_two_plus()
         m = PerfectMatching(((0, 1), (2, 3)))
-        moves = list(enumerate_exchanges(g, m, 2))
-        assert {x.added for x in moves} == {((0, 2), (1, 3)), ((0, 3), (1, 2))}
-        assert all(x.delta == -4 for x in moves)
+        moves = list(raw_moves(g, m, 2))
+        assert {added for _, added, _ in moves} == {((0, 2), (1, 3)), ((0, 3), (1, 2))}
+        assert all(delta == -4 for _, _, delta in moves)
 
     def test_deltas_are_consistent(self):
         g = random_with_imbalance(8, 4, 9)
         for r in (2, 3, 4):
-            for x in enumerate_exchanges(g, M8, r):
-                expected = sum(g.sign(a, b) for a, b in x.added) - sum(
-                    g.sign(a, b) for a, b in x.removed
+            for idxs, added, delta in raw_moves(g, M8, r):
+                expected = sum(g.sign(a, b) for a, b in added) - sum(
+                    g.sign(a, b) for a, b in removed_pairs(M8, idxs)
                 )
-                assert x.delta == expected
-                assert x.delta % 2 == 0
+                assert delta == expected
+                assert delta % 2 == 0
 
     def test_deterministic_order(self):
         g = random_with_imbalance(8, 0, 5)
-        first = [(x.removed, x.added) for x in enumerate_exchanges(g, M8, 3)]
-        second = [(x.removed, x.added) for x in enumerate_exchanges(g, M8, 3)]
-        assert first == second
-
-    def test_invalid_r(self):
-        g = random_with_imbalance(8, 0, 5)
-        for r in (1, 5, 0):
-            with pytest.raises(ParameterError):
-                list(enumerate_exchanges(g, M8, r))
+        assert list(raw_moves(g, M8, 3)) == list(raw_moves(g, M8, 3))
 
     def test_r_exceeding_half_order(self):
         g = random_with_imbalance(4, 0, 5)
-        with pytest.raises(ParameterError):
-            list(enumerate_exchanges(g, PerfectMatching(((0, 1), (2, 3))), 3))
+        assert list(raw_moves(g, PerfectMatching(((0, 1), (2, 3))), 3)) == []
 
     def test_subsets_then_pairings_in_lexicographic_order(self):
         # the local search takes the first improving move of this scan, so
@@ -106,8 +100,8 @@ class TestEnumeration:
         g = random_with_imbalance(10, 5, 4)
         m = random_perfect_matching(10, SplitMix64(0))
         for r in (2, 3, 4):
-            groups = [(removed, [x.added for x in xs]) for removed, xs in
-                      groupby(enumerate_exchanges(g, m, r), key=lambda x: x.removed)]
+            groups = [(removed_pairs(m, idxs), [added for _, added, _ in moves])
+                      for idxs, moves in groupby(raw_moves(g, m, r), key=lambda x: x[0])]
             assert [removed for removed, _ in groups] == list(combinations(m.pairs, r))
             for removed, added in groups:
                 assert added == sorted(crossing_pairings(removed))
@@ -120,29 +114,26 @@ class TestApply:
         m = random_perfect_matching(12, rng)
         w = sigma_matching(g, m)
         for r in (2, 3, 4):
-            for x in enumerate_exchanges(g, m, r):
-                assert sigma_matching(g, apply_exchange(m, x)) == w + x.delta
+            for move in raw_moves(g, m, r):
+                assert sigma_matching(g, assert_sound_move(g, m, move)) == w + move[2]
 
     def test_apply_then_inverse_is_identity(self):
+        # each move's reverse is a move of the same scan from the result
         g = random_with_imbalance(8, 0, 13)
-        for x in enumerate_exchanges(g, M8, 3):
-            after = apply_exchange(M8, x)
-            assert apply_exchange(after, x.inverse()) == M8
+        for idxs, added, delta in raw_moves(g, M8, 3):
+            after = assert_sound_move(g, M8, (idxs, added, delta))
+            removed = removed_pairs(M8, idxs)
+            reverse = [move for move in raw_moves(g, after, 3)
+                       if removed_pairs(after, move[0]) == added and move[1] == removed]
+            assert [move[2] for move in reverse] == [-delta]
+            assert assert_sound_move(g, after, reverse[0]) == M8
 
     def test_k4_example_application(self):
         g = k4_two_plus()
         m = PerfectMatching(((0, 1), (2, 3)))
-        x = next(iter(enumerate_exchanges(g, m, 2)))
-        after = apply_exchange(m, x)
+        after = assert_sound_move(g, m, next(iter(raw_moves(g, m, 2))))
         assert sigma_matching(g, m) == 2
         assert sigma_matching(g, after) == -2
-
-    def test_removed_must_be_subset(self):
-        g = random_with_imbalance(8, 0, 5)
-        x = next(iter(enumerate_exchanges(g, M8, 2)))
-        other = PerfectMatching(((0, 2), (1, 3), (4, 6), (5, 7)))
-        with pytest.raises(MatchingError):
-            apply_exchange(other, x)
 
     def test_random_exchange_soundness_sweep(self):
         # 1000 random (instance, matching, exchange) triples at order 12;
@@ -152,30 +143,41 @@ class TestApply:
         checked = 0
         while checked < 1000:
             m = random_perfect_matching(12, rng)
-            w = sigma_matching(g, m)
             r = 2 + rng.bounded(3)
-            moves = list(enumerate_exchanges(g, m, r))
-            x = moves[rng.bounded(len(moves))]
-            assert sigma_matching(g, apply_exchange(m, x)) - w == x.delta
+            moves = list(raw_moves(g, m, r))
+            assert_sound_move(g, m, moves[rng.bounded(len(moves))])
             checked += 1
 
 
 class TestExchangeType:
+    """The shape of every move the scan yields, checked on all moves of K_10."""
+
+    G10 = random_with_imbalance(10, 5, 21)
+    M10 = random_perfect_matching(10, SplitMix64(3))
+
+    def all_moves(self):
+        for r in (2, 3, 4):
+            yield from raw_moves(self.G10, self.M10, r)
+
     def test_validation_vertex_mismatch(self):
-        with pytest.raises(MatchingError):
-            Exchange(removed=((0, 1), (2, 3)), added=((0, 2), (1, 4)), delta=0)
+        for idxs, added, _ in self.all_moves():
+            removed = removed_pairs(self.M10, idxs)
+            assert sorted(v for p in added for v in p) == sorted(v for p in removed for v in p)
 
     def test_validation_overlap(self):
-        with pytest.raises(MatchingError):
-            Exchange(removed=((0, 1), (2, 3)), added=((0, 1), (2, 3)), delta=0)
+        for idxs, added, _ in self.all_moves():
+            assert not set(added) & set(removed_pairs(self.M10, idxs))
 
     def test_validation_r_range(self):
-        with pytest.raises(MatchingError):
-            Exchange(removed=((0, 1),), added=((0, 1),), delta=0)
+        assert set(solver._PATTERNS) == set(solver.R_LEVELS) == {2, 3, 4}
+        for idxs, added, _ in self.all_moves():
+            assert len(idxs) == len(added) in (2, 3, 4)
 
     def test_inverse_swaps_sides(self):
-        x = Exchange(removed=((0, 1), (2, 3)), added=((0, 2), (1, 3)), delta=-4)
-        inv = x.inverse()
-        assert inv.removed == ((0, 2), (1, 3))
-        assert inv.added == ((0, 1), (2, 3))
-        assert inv.delta == 4
+        # the removed pairs form a crossing pairing of the added ones, so the
+        # scan from the result offers the swap back at the opposite delta
+        for idxs, added, delta in self.all_moves():
+            after = assert_sound_move(self.G10, self.M10, (idxs, added, delta))
+            back = {(removed_pairs(after, i), a): d
+                    for i, a, d in raw_moves(self.G10, after, len(idxs))}
+            assert back[(added, removed_pairs(self.M10, idxs))] == -delta

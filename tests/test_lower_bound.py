@@ -20,9 +20,9 @@ from lowpm import (
     clique_instance,
     local_search_min_weight,
     matching_number,
-    max_matching,
     oracle_min_weight,
     pair_count,
+    pm_from_sign_max_matching,
     proposition2_instance,
     random_with_imbalance,
     serialize_instance,
@@ -175,8 +175,8 @@ class TestInterpolationWalk:
         cases += flipped_extremal_instances(large=True, seeds=1)
         cases += random_instances((8, 10, 12, 14, 40, 82, 120, 200))
         for name, g in cases:
-            start = solver.complete_sign_matching(g, max_matching(g, -1), -1)
-            end = solver.complete_sign_matching(g, max_matching(g, 1), 1)
+            start = pm_from_sign_max_matching(g, -1)
+            end = pm_from_sign_max_matching(g, 1)
             lo, hi = sigma_matching(g, start), sigma_matching(g, end)
             mate, target = solver._mates(start.pairs), solver._mates(end.pairs)
             off = solver._row_offsets(g.order)

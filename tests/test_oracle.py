@@ -10,7 +10,6 @@ from lowpm import (
     PerfectMatching,
     SignedCompleteGraph,
     clique_instance,
-    enumerate_perfect_matchings,
     lower_bound,
     oracle_min_weight,
     pair_count,
@@ -18,6 +17,7 @@ from lowpm import (
     random_with_imbalance,
     sigma_matching,
 )
+from lowpm.solver import _pairings
 
 from helpers import brute_min_weight, brute_perfect_matchings
 
@@ -27,24 +27,27 @@ def all_plus(order):
 
 
 class TestEnumeration:
+    """``solver._pairings``, the one pairing enumeration (the oracle's
+    witness order and the scan's crossing patterns)."""
+
     @pytest.mark.parametrize("order,count", [(2, 1), (4, 3), (8, 105)])
     def test_counts(self, order, count):
-        package = list(enumerate_perfect_matchings(order))
+        package = [PerfectMatching(pairs) for pairs in _pairings(tuple(range(order)))]
         assert len(package) == count
         assert len(set(package)) == count
         independent = set(brute_perfect_matchings(order))
         assert {m.pairs for m in package} == independent
 
     def test_count_order_12(self):
-        assert sum(1 for _ in enumerate_perfect_matchings(12)) == 10395
+        assert sum(1 for _ in _pairings(tuple(range(12)))) == 10395
 
     def test_lexicographic_order(self):
-        listed = [m.pairs for m in enumerate_perfect_matchings(8)]
+        listed = list(_pairings(tuple(range(8))))
         assert listed == sorted(listed)
 
     def test_odd_order_rejected(self):
-        with pytest.raises(Exception):
-            list(enumerate_perfect_matchings(5))
+        # an odd vertex set has no perfect pairing, so none is listed
+        assert list(_pairings(tuple(range(5)))) == []
 
 
 class TestOracle:
