@@ -4,7 +4,7 @@ Public surface, by area; it is what the CLI, the verifier and the tests
 call:
 
 * types, sign arithmetic and the text formats: :mod:`lowpm.core`
-* exchange local search, certified lower bound, exact oracle,
+* exchange local search, certificate, exact oracle,
   sign-restricted matchings: :mod:`lowpm.solver`
 * instance families and closed-form bounds: :mod:`lowpm.constructions`
 * verification sweeps: :mod:`lowpm.verifier`
@@ -46,8 +46,8 @@ from .solver import (
     DEFAULT_ORACLE_LIMIT,
     OracleLimitError,
     SolveReport,
+    certify,
     local_search_min_weight,
-    lower_bound,
     oracle_min_weight,
     pm_from_sign_max_matching,
     random_perfect_matching,
@@ -79,12 +79,12 @@ __all__ = [
     "SplitMix64",
     "VerifyReport",
     "canonical_pair_index",
+    "certify",
     "clique_instance",
     "eg_edge_bound",
     "eg_extremal_graph",
     "iter_pairs",
     "local_search_min_weight",
-    "lower_bound",
     "matching_number",
     "maximum_matching",
     "oracle_min_weight",

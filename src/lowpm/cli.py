@@ -284,6 +284,8 @@ def _cmd_sweep(args) -> int:
             jobs.append((args.statement, n, k, args.samples, args.seed, args.oracle_limit))
     if not jobs:
         raise LowpmError("empty sweep grid: check --n-min/--n-max/--k-min/--k-max")
+    if args.statement == "thm2":  # before any cell runs; tight certifies past the limit
+        refuse_past_oracle_limit(4 * args.n_max, args.oracle_limit)
 
     workers = min(args.jobs, len(jobs))
     if workers > 1:

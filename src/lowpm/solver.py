@@ -7,12 +7,12 @@ move with r in {2, 3, 4}; it reads signs straight from the instance's flat
 ``signs`` tuple through per-row offsets computed once per call.
 
 A solve has one route: an r = 2 descent to the parity floor; on a stall
-above it, the certified :func:`lower_bound`; on a stall above the bound, the
+above it, :func:`certify`'s bound and witness, the best matching of the
 interpolation walk, which swaps the least-weight matching into the
 greatest-weight one two edges at a time.  Each swap moves the weight by at
 most 4, so the walk passes |weight| <= 2 when the two straddle 0 and ends
-optimal when they do not.  Only a walk that stops above the bound is
-polished by a descent escalating r = 2 -> 3 -> 4.
+optimal when they do not.  Only a witness above the bound is polished by a
+descent escalating r = 2 -> 3 -> 4.
 
 The oracle computes the exact minimum of |weight| over all perfect
 matchings with a bitmask memo of the achievable weights of every vertex set
@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import blossom
 from .core import (
@@ -40,6 +40,7 @@ from .core import (
     PerfectMatching,
     SignedCompleteGraph,
     pair_row_offset,
+    sigma_matching,
     sign_subgraph,
 )
 from .rng import SplitMix64
@@ -74,10 +75,10 @@ class SolveReport:
     """Trace of one local-search run.
 
     ``stop_reason`` is ``floor`` (|weight| reached the parity floor),
-    ``certified`` (|weight| reached :func:`lower_bound`) or ``no_move``
-    (uncertified after the walk).  ``lower_bound`` is the floor in the first
-    case and the computed bound otherwise; ``gap`` is |final_weight| -
-    lower_bound, so 0 means the result is proven optimal.
+    ``certified`` (|weight| reached :func:`certify`'s bound) or ``no_move``
+    (uncertified after the polish).  ``lower_bound`` is the floor in the
+    first case and the certified bound otherwise; ``gap`` is
+    |final_weight| - lower_bound, so 0 means the result is proven optimal.
     """
 
     initial_weight: int
@@ -231,17 +232,16 @@ def _interpolation_walk(signs, off, mate, target) -> Iterator[int]:
 def local_search_min_weight(
     g: SignedCompleteGraph, *, seed: int = 0, start: PerfectMatching | None = None
 ) -> tuple[PerfectMatching, SolveReport]:
-    """Minimize |weight|: r = 2 descent, certified bound, walk, r <= 4 polish.
+    """Minimize |weight|: r = 2 descent, certificate, r <= 4 polish.
 
     Descends by improving r = 2 exchanges from ``start`` or, when it is
     None, one random matching drawn from ``seed``, stopping at the parity
-    floor (0 when order/2 is even, else 1).  A stall above it computes
-    :func:`lower_bound`; a stall above the bound runs the walk from the
-    least- to the greatest-weight matching, whose best matching replaces
-    the stalled one when it weighs less.  A descent with r <= 4 down to
-    the bound ends the solve; it scans r = 3/4 only when the walk stopped
-    at |weight| 2 above a bound of 0.  The gap is 0 when order/2 is odd
-    and at most 2 otherwise.
+    floor (0 when order/2 is even, else 1).  A stall above it calls
+    :func:`certify`; on a stall above the bound, the certificate's witness
+    replaces the stalled matching when it weighs less.  A descent with
+    r <= 4 down to the bound ends the solve; it scans r = 3/4 only when the
+    witness stopped at |weight| 2 above a bound of 0.  The gap is 0 when
+    order/2 is odd and at most 2 otherwise.
     """
     if g.order < 4 or g.order % 2:
         raise ParameterError(f"local search needs even order >= 4, got {g.order}")
@@ -257,17 +257,13 @@ def local_search_min_weight(
     edges, w = _descend(signs, off, start.pairs, initial_weight, floor, (2,), moves_applied)
     bound = floor
     if abs(w) > floor:
-        # two blossom calls and <= order/2 walk swaps, not ~order^4-pattern scans
-        bound, minus_mm, plus_mm = _bound_parts(g)
+        # one or two blossom calls and <= order/2 walk swaps, not ~order^4-pattern scans
+        cert = certify(g)
+        bound = cert.bound
         if abs(w) > bound:
-            mate = _mates(complete_sign_matching(g, minus_mm, -1).pairs)
-            # with lo > 0 the least-weight matching is already exact: no walk
-            target = mate if plus_mm is None else _mates(
-                complete_sign_matching(g, plus_mm, 1).pairs)
             # a tie keeps the r = 2 optimum, which needed fewer r = 4 scans to polish
-            for walk_w in _interpolation_walk(signs, off, mate, target):
-                if abs(walk_w) < abs(w):
-                    edges, w = tuple((a, b) for a, b in enumerate(mate) if a < b), walk_w
+            if abs(cert.weight) < abs(w):
+                edges, w = cert.matching.pairs, cert.weight
             edges, w = _descend(signs, off, edges, w, bound, R_LEVELS, moves_applied)
 
     if abs(w) <= floor:
@@ -392,8 +388,17 @@ def _bipartite_side(order: int, edges: tuple[Pair, ...]) -> int | None:
     return size_a
 
 
-def lower_bound(g: SignedCompleteGraph) -> int:
-    """Certified lower bound on |weight| over all perfect matchings.
+class Certificate(NamedTuple):
+    """:func:`certify`'s bound and lo; the witness ``matching`` weighs ``weight``."""
+
+    bound: int
+    lo: int
+    matching: PerfectMatching
+    weight: int
+
+
+def certify(g: SignedCompleteGraph) -> Certificate:
+    """Certified lower bound on |weight| over all perfect matchings, with witness.
 
     A perfect matching with m minus edges weighs order/2 - 2m, and m is at
     most the minus class's matching number; symmetrically the weight is at
@@ -404,22 +409,19 @@ def lower_bound(g: SignedCompleteGraph) -> int:
     (the two-block family), the other class is two cliques, so every perfect
     matching pairs an even number of A's vertices inside A and uses a number
     of class edges with the parity of |A|; weights breaking that parity are
-    dropped.  The bound is the smallest |weight| left on the lattice.
+    dropped.  The bound is the smallest |weight| left on the lattice.  The
+    witness is M-, the minus maximum matching completed with plus edges,
+    when lo > 0, else the walk's first matching of least |weight| from M- to
+    M+, the plus maximum matching completed with minus edges.
     """
-    return _bound_parts(g)[0]
-
-
-def _bound_parts(g: SignedCompleteGraph):
-    """(:func:`lower_bound`, maximum minus-class matching, maximum plus-class
-    matching or None when lo > 0): the bound and the walk's two ends."""
     order = g.order
     half = order // 2
     minus = sign_subgraph(g, -1).edges
     minus_mm = blossom.maximum_matching(order, minus)
+    minus_pm = complete_sign_matching(g, minus_mm, -1)
     lo = half - 2 * len(minus_mm)
-    if lo > 0:
-        # the least-weight matching weighs lo, so it meets every parity step
-        return lo, minus_mm, None
+    if lo > 0:  # M- attains lo, so lo meets every parity step
+        return Certificate(lo, lo, minus_pm, sigma_matching(g, minus_pm))
     plus = sign_subgraph(g, 1).edges
     plus_mm = blossom.maximum_matching(order, plus)
     hi = 2 * len(plus_mm) - half
@@ -435,7 +437,13 @@ def _bound_parts(g: SignedCompleteGraph):
         for w in range(lo, hi + 1, 2)
         if all((half + sign * w) // 2 % 2 == parity for sign, parity in parities)
     )
-    return bound, minus_mm, plus_mm
+    mate = _mates(minus_pm.pairs)
+    target = _mates(complete_sign_matching(g, plus_mm, 1).pairs)
+    best = None
+    for w in _interpolation_walk(g.signs, _row_offsets(order), mate, target):
+        if best is None or abs(w) < abs(best):
+            best, pairs = w, tuple((a, b) for a, b in enumerate(mate) if a < b)
+    return Certificate(bound, lo, PerfectMatching(pairs), best)
 
 
 def pm_from_sign_max_matching(g: SignedCompleteGraph, sign: int) -> PerfectMatching:

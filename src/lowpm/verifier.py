@@ -41,12 +41,12 @@ from .core import (
     serialize_instance,
     sigma_matching,
     sigma_total,
-    sign_subgraph,
+    sign_subgraph,  # read by perfbench/tracing.py, which wraps it here by name
 )
 from .rng import SplitMix64
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
-    complete_sign_matching,
+    certify,
     local_search_min_weight,
     oracle_min_weight,
     pm_from_sign_max_matching,
@@ -248,12 +248,19 @@ def verify_theorem1(
     return _finish(report, t0)
 
 
+def _certified_min(cert) -> tuple[int | None, str]:
+    """(the minimum, or None if the witness misses the bound; the observed text)."""
+    if abs(cert.weight) == cert.bound:
+        return cert.bound, f"min_weight {cert.bound} (certified)"
+    return None, f"lower bound {cert.bound}, witness weight {cert.weight}"
+
+
 def verify_prop2(k: int) -> VerifyReport:
     """The two-block instance has imbalance 2 yet no zero-weight matching.
 
-    The weight minimum is certified at every k: the bipartite parity step
-    of :func:`lower_bound` gives |weight| >= 2, and the local search, which
-    stops at that bound, supplies a matching of |weight| 2.
+    The weight minimum is certified at every k with no search: the parity
+    step of :func:`certify` gives |weight| >= 2, and its walk's witness has
+    |weight| 2.
     """
     if k < 2 or k % 2:
         raise ParameterError(f"k must be an even integer >= 2, got {k}")
@@ -264,15 +271,10 @@ def verify_prop2(k: int) -> VerifyReport:
     total = sigma_total(g)
     ok = report.check(g, "sigma_total 2", f"sigma_total {total}", total == 2)
 
-    n = g.order // 4
-    _, solve = local_search_min_weight(g)
-    observed_min = abs(solve.final_weight) if solve.gap == 0 else None
-    observed = (f"min_weight {observed_min} (certified)" if observed_min is not None
-                else f"solver |weight| {abs(solve.final_weight)} above "
-                     f"lower bound {solve.lower_bound}")
+    observed_min, observed = _certified_min(certify(g))
     ok = report.check(g, "min_weight 2", observed, observed_min == 2) and ok
     report.rows.append(
-        {"n": n, "k": k, "s": total, "seed": "",
+        {"n": g.order // 4, "k": k, "s": total, "seed": "",
          "min_weight": "" if observed_min is None else observed_min,
          "bound": 2, "pass": ok}
     )
@@ -357,11 +359,10 @@ def verify_tightness(n: int, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -
 
     Checks the imbalance identity exactly, the minus matching number n-k,
     and that the weight minimum is 2k, i.e. strictly above the 2k-2
-    guarantee that stops just below bound.  When the order fits the oracle
-    the minimum is oracle-asserted; past it, it is certified from the minus
-    maximum matching: every perfect matching weighs at least
-    order/2 - 2*nu_minus, and completing that matching with plus edges
-    attains it.
+    guarantee that stops just below bound.  The matching number is read
+    from :func:`certify`'s lo = order/2 - 2*nu_minus.  When the order fits
+    the oracle the minimum is oracle-asserted; past it, the certificate's
+    witness, M- completed with plus edges, must weigh exactly lo.
     """
     t0 = time.perf_counter()
     report = VerifyReport(theorem="tightness", params={"n": n, "k": k}, seed=None)
@@ -375,9 +376,8 @@ def verify_tightness(n: int, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -
         total == expected_total,
     )
 
-    minus = sign_subgraph(g, -1)
-    mm = blossom.maximum_matching(minus.order, minus.edges)
-    nu = len(mm)
+    cert = certify(g)
+    nu = (order // 2 - cert.lo) // 2
     ok = report.check(
         g, f"minus_matching_number {n - k}", f"minus_matching_number {nu}",
         nu == n - k,
@@ -387,11 +387,7 @@ def verify_tightness(n: int, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -
         observed_min, _ = oracle_min_weight(g, oracle_limit)
         observed = f"min_weight {observed_min}"
     else:
-        bound = order // 2 - 2 * nu
-        witness = sigma_matching(g, complete_sign_matching(g, mm, -1))
-        observed_min = bound if bound >= 0 and witness == bound else None
-        observed = (f"min_weight {observed_min} (certified)" if observed_min is not None
-                    else f"lower bound {bound}, witness weight {witness}")
+        observed_min, observed = _certified_min(cert)
     ok = report.check(
         g, f"min_weight {2 * k}", observed, observed_min == 2 * k,
     ) and ok

@@ -284,6 +284,17 @@ class TestSweep:
         assert out == ""
         assert f"{flag} must be a positive integer, got {value}" in err
 
+    def test_thm2_refuses_before_any_cell(self, capsys, monkeypatch):
+        # the n = 4 cells fit the oracle, the n = 5 ones do not
+        calls = []
+        monkeypatch.setattr(cli, "verify_theorem2", lambda *a, **kw: calls.append(a))
+        code, out, err = run(capsys, "sweep", "thm2", "--n-min", "4", "--n-max", "5",
+                             "--k-max", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: order 20 exceeds the oracle limit 16")
+        assert calls == []
+
     def test_empty_grid_exit_2(self, capsys):
         code, _, err = run(capsys, "sweep", "thm2", "--n-min", "3", "--n-max", "2",
                            "--k-min", "2", "--k-max", "2")

@@ -29,6 +29,8 @@ GOLDEN = {
     ("verify", "thm2", "--n", "3", "--k", "2", "--samples", "20", "--seed", "5",
      "--format", "json"):
         "966ff07a7e681af39cb07cb9e60e56d004cb6cb093a2ae93ee84877531880a88",
+    ("verify", "prop2", "--k", "8", "--format", "json"):
+        "e594b3b3021901165265586638227bebfd2b0ece0118da6be03a753993b404ff",
 }
 
 

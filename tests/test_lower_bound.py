@@ -1,11 +1,12 @@
-"""The certified lower bound and the interpolation walk, checked differentially.
+"""The certificate and the interpolation walk, checked differentially.
 
-``lower_bound`` is what lets the local search stop above the parity floor,
-and the walk is what takes a stalled search to within 2 of it, so any
-instance where either disagrees with the oracle (or the walk with its
-guarantee) is kept: it is written to ``tests/artifacts/`` as a named
-``.sk`` file and the test fails.  A bound above the oracle is unsound; one
-below it would leave a solve uncertified.
+``certify`` is what lets the local search stop above the parity floor and
+what ``verify prop2`` and ``verify tight`` decide by; its witness, from the
+walk, is what takes a stalled search to within 2 of the bound.  Any
+instance where the bound disagrees with the oracle, or the witness with
+its weight or its guarantee, is kept: it is written to ``tests/artifacts/``
+as a named ``.sk`` file and the test fails.  A bound above the oracle is
+unsound; one below it would leave a solve uncertified.
 """
 
 from pathlib import Path
@@ -17,6 +18,7 @@ from lowpm import (
     PerfectMatching,
     SignedCompleteGraph,
     SplitMix64,
+    certify,
     clique_instance,
     local_search_min_weight,
     matching_number,
@@ -28,9 +30,10 @@ from lowpm import (
     serialize_instance,
     sigma_matching,
     sign_subgraph,
+    verify_prop2,
+    verify_tightness,
 )
 from lowpm import blossom, solver
-from lowpm.solver import lower_bound
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
@@ -43,16 +46,35 @@ def keep_artifact(stem, g):
     return path.name
 
 
-def assert_bound_matches_oracle(cases):
-    """``cases`` yields (name, instance); every bound must equal the oracle minimum."""
+def assert_bound_matches_oracle(cases, oracle=True):
+    """``cases`` yields (name, instance); every certificate must hold.
+
+    Its witness weighs ``weight``, read from the signs, and at least
+    ``bound``; ``lo`` comes from the minus class's matching number; the
+    witness meets the bound when lo > 0 and is within 2 of it otherwise (on
+    it when order/2 is odd).  With ``oracle`` the bound must also equal the
+    oracle minimum.
+    """
     failures = []
     for name, g in cases:
-        bound = lower_bound(g)
-        exact, _ = oracle_min_weight(g)
-        if bound != exact:
-            kind = "unsound" if bound > exact else "loose"
-            failures.append(f"{keep_artifact(f'lower_bound_{kind}_{name}', g)}: "
-                            f"bound {bound}, oracle {exact}")
+        cert = certify(g)
+        weight = sigma_matching(g, cert.matching)
+        nu_minus = matching_number(g.order, sign_subgraph(g, -1).edges)
+        ceiling = 0 if g.order // 2 % 2 or cert.lo > 0 else 2
+        found = []
+        if weight != cert.weight:
+            found.append(f"witness weighs {weight}, reported {cert.weight}")
+        if not cert.bound <= abs(weight) <= cert.bound + ceiling:
+            found.append(f"witness weight {weight} against bound {cert.bound}")
+        if cert.lo != g.order // 2 - 2 * nu_minus:
+            found.append(f"lo {cert.lo} with nu_minus {nu_minus}")
+        if oracle:
+            exact, _ = oracle_min_weight(g)
+            if cert.bound != exact:
+                kind = "unsound" if cert.bound > exact else "loose"
+                found.append(f"{kind} bound {cert.bound}, oracle {exact}")
+        if found:
+            failures.append(f"{keep_artifact(f'certify_{name}', g)}: {', '.join(found)}")
     assert not failures, "; ".join(failures)
 
 
@@ -128,17 +150,26 @@ class TestAgainstOracle:
                   for n in range(1, 5) for k in range(1, n + 1)]
         assert_bound_matches_oracle(cases)
 
+    def test_witness_within_two_past_the_oracle(self):
+        cases = list(random_instances((40, 62, 100, 160, 200)))
+        bases = [(f"prop2_k{k}", proposition2_instance(k)) for k in (6, 10, 14)]
+        bases += [(f"clique_n{n}_k{k}", clique_instance(n, k))
+                  for n, k in ((10, 2), (25, 3), (25, 25), (50, 2), (50, 40))]
+        cases += [(f"{name}_flips{flips}", flipped(g, flips, flips))
+                  for name, g in bases for flips in (0, 1, 5, 40)]
+        assert_bound_matches_oracle(cases, oracle=False)
+
 
 class TestBoundShape:
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_prop2_parity_step_lifts_zero(self, k):
         # both sign classes have large matchings, so the interval alone
         # contains 0; only the bipartite parity step excludes it
-        assert lower_bound(proposition2_instance(k)) == 2
+        assert certify(proposition2_instance(k)).bound == 2
 
     @pytest.mark.parametrize("n,k", [(5, 2), (10, 3), (20, 7)])
     def test_clique_bound_past_oracle(self, n, k):
-        assert lower_bound(clique_instance(n, k)) == 2 * k
+        assert certify(clique_instance(n, k)).bound == 2 * k
 
 
 def matching_of(mate):
@@ -191,7 +222,7 @@ class TestInterpolationWalk:
             ceiling = 1 if g.order // 2 % 2 else 2
             if (len(weights) - 1 > g.order // 2 or mate != target
                     or (weights[0], weights[-1]) != (lo, hi)
-                    or (lo <= 0 <= hi and reach > ceiling) or reach < lower_bound(g)):
+                    or (lo <= 0 <= hi and reach > ceiling) or reach < certify(g).bound):
                 failures.append(f"{keep_artifact(f'walk_path_{name}', g)}: "
                                 f"{len(weights) - 1} swaps, lo {lo}, hi {hi}, reached {reach}")
         assert not failures, "; ".join(failures)
@@ -285,3 +316,12 @@ class TestLazyUse:
             calls.clear()
             local_search_min_weight(g, seed=1)
             assert len(calls) <= 2, name
+
+    def test_verifiers_add_no_blossom_call(self, monkeypatch):
+        # lo = 2k > 0 on the plus-clique family: one minus-class call, no plus one
+        calls = self.count_calls(monkeypatch)
+        assert verify_tightness(50, 2).ok
+        assert calls == [200]
+        calls.clear()
+        assert verify_prop2(8).ok
+        assert len(calls) <= 2

@@ -9,8 +9,8 @@ from lowpm import (
     OracleLimitError,
     PerfectMatching,
     SignedCompleteGraph,
+    certify,
     clique_instance,
-    lower_bound,
     oracle_min_weight,
     pair_count,
     proposition2_instance,
@@ -99,7 +99,7 @@ class TestOracle:
             g = random_with_imbalance(order, parity + 10 * seed, seed)
             w, witness = oracle_min_weight(g, order_limit=order)
             assert abs(sigma_matching(g, witness)) == w
-            assert w == lower_bound(g)
+            assert w == certify(g).bound
 
     def test_memo_freed_on_return(self):
         g = random_with_imbalance(12, 0, 5)

@@ -170,10 +170,10 @@ class TestBudgetsAndDeterminism:
         _, report = local_search_min_weight(g, seed=0)
         assert (report.stop_reason, report.lower_bound, report.gap) == ("certified", 4, 0)
 
-        # held at the parity floor, the bound certifies nothing; M- (lo = 4,
-        # so no walk) and the polish leave the weight at 4
-        real = solver._bound_parts
-        monkeypatch.setattr(solver, "_bound_parts", lambda g: (0,) + real(g)[1:])
+        # held at the parity floor, the bound certifies nothing; the witness
+        # M- (lo = 4, so no walk) and the polish leave the weight at 4
+        real = solver.certify
+        monkeypatch.setattr(solver, "certify", lambda g: real(g)._replace(bound=0))
         m, report = local_search_min_weight(g, seed=0)
         assert report.stop_reason == "no_move"
         assert (report.lower_bound, report.gap) == (0, 4)
@@ -183,16 +183,16 @@ class TestBudgetsAndDeterminism:
         # the search has no plateau walk and no restarts: even on a pure
         # plateau the bound cannot certify, the counters perfbench reads stay 0
         g = clique_instance(2, 2)
-        real = solver._bound_parts
-        monkeypatch.setattr(solver, "_bound_parts", lambda g: (0,) + real(g)[1:])
+        real = solver.certify
+        monkeypatch.setattr(solver, "certify", lambda g: real(g)._replace(bound=0))
         _, report = local_search_min_weight(g, seed=0)
         assert (report.sideways_moves, report.restarts) == (0, 0)
         assert abs(report.final_weight) == 4
 
     def test_exhausted_plateau_stops_with_no_move(self, monkeypatch):
         g = clique_instance(1, 1)  # all plus: the three matchings weigh 2
-        real = solver._bound_parts
-        monkeypatch.setattr(solver, "_bound_parts", lambda g: (0,) + real(g)[1:])
+        real = solver.certify
+        monkeypatch.setattr(solver, "certify", lambda g: real(g)._replace(bound=0))
         _, report = local_search_min_weight(g, seed=0)
         assert report.stop_reason == "no_move"
         assert (report.lower_bound, report.gap) == (0, 2)

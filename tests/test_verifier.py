@@ -7,8 +7,10 @@ import pytest
 from lowpm import (
     ParameterError,
     VerifyReport,
+    clique_instance,
     pair_count,
     parse_instance,
+    proposition2_instance,
     serialize_instance,
     random_with_imbalance,
     verify_erdos_gallai,
@@ -17,6 +19,7 @@ from lowpm import (
     verify_theorem2,
     verify_tightness,
 )
+from lowpm import verifier
 
 
 def strip_elapsed(report_json: str) -> dict:
@@ -143,6 +146,27 @@ class TestTightness:
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
             verify_tightness(2, 3)
+
+
+class TestUncertifiedWitness:
+    @pytest.mark.parametrize("run,g", [
+        (lambda: verify_tightness(5, 2), clique_instance(5, 2)),  # past the oracle limit
+        (lambda: verify_prop2(2), proposition2_instance(2)),
+    ], ids=["tight", "prop2"])
+    def test_witness_above_its_bound_fails_once(self, monkeypatch, run, g):
+        real = verifier.certify
+
+        def below_its_witness(g):
+            cert = real(g)
+            return cert._replace(bound=cert.bound - 2)
+
+        monkeypatch.setattr(verifier, "certify", below_its_witness)
+        cert = below_its_witness(g)
+        report = run()
+        assert [entry["observed"] for entry in report.failures] == [
+            f"lower bound {cert.bound}, witness weight {cert.weight}"]
+        assert report.rows[0]["min_weight"] == ""
+        assert parse_instance(report.failures[0]["instance"]) == g
 
 
 class TestErdosGallai:
