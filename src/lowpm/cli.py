@@ -17,6 +17,7 @@ byte-identical JSON/CSV output (elapsed_ms aside).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -30,8 +31,6 @@ from .core import (
 )
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
-    MAX_ORACLE_LIMIT,
-    ORACLE_COST,
     local_search_min_weight,
     oracle_min_weight,
     refuse_past_oracle_limit,
@@ -119,8 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=1)
 
     def oracle_limit(text: str) -> int:
-        if int(text) > MAX_ORACLE_LIMIT:
-            raise argparse.ArgumentTypeError(f"the maximum is {MAX_ORACLE_LIMIT}, got {text}")
+        if int(text) > DEFAULT_ORACLE_LIMIT:
+            raise argparse.ArgumentTypeError(f"the maximum is {DEFAULT_ORACLE_LIMIT}, got {text}")
         return int(text)
 
     for p in (solve, oracle, v_thm1, v_thm2, v_tight, sweep):
@@ -132,12 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--format", choices=("csv", "text"), default="csv")
 
     return parser
-
-
-def _warn_oracle_limit(limit: int) -> None:
-    if limit > DEFAULT_ORACLE_LIMIT:
-        print(f"warning: oracle limit {limit} is above the default "
-              f"{DEFAULT_ORACLE_LIMIT}; {ORACLE_COST}", file=sys.stderr)
 
 
 def _read_instance(path: str):
@@ -179,7 +172,6 @@ def _cmd_solve(args) -> int:
     g = _read_instance(args.instance)
     if args.check_oracle:
         # refuse before the search, which can take far longer than refusing
-        _warn_oracle_limit(args.oracle_limit)
         refuse_past_oracle_limit(g.order, args.oracle_limit)
     matching, report = local_search_min_weight(g, seed=args.seed)
     exit_code = 0
@@ -191,8 +183,6 @@ def _cmd_solve(args) -> int:
             exit_code = 1
 
     if args.format == "json":
-        import json
-
         payload = report.to_dict()
         payload["matching"] = serialize_matching(matching.pairs)
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -214,11 +204,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _read_instance(args.instance)
-    _warn_oracle_limit(args.oracle_limit)
     min_weight, witness = oracle_min_weight(g, args.oracle_limit)
     if args.format == "json":
-        import json
-
         print(json.dumps(
             {"min_weight": min_weight, "witness": serialize_matching(witness.pairs)},
             sort_keys=True, separators=(",", ":"),
@@ -240,9 +227,6 @@ def _emit_report(report: VerifyReport, fmt: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # prop2, eg and thm1 --mode solver never call the oracle
-    if args.statement in ("thm2", "tight") or (args.statement == "thm1" and args.mode != "solver"):
-        _warn_oracle_limit(args.oracle_limit)
     if args.statement == "thm1":
         report = verify_theorem1(
             args.n, samples=args.samples, seed=args.seed, mode=args.mode,
@@ -276,7 +260,6 @@ def _cmd_sweep(args) -> int:
         raise LowpmError(f"--samples must be a positive integer, got {args.samples}")
     if args.jobs < 1:
         raise LowpmError(f"--jobs must be a positive integer, got {args.jobs}")
-    _warn_oracle_limit(args.oracle_limit)
     jobs = []
     for n in range(args.n_min, args.n_max + 1):
         k_top = min(args.k_max, n) if args.statement == "tight" else args.k_max
@@ -295,7 +278,6 @@ def _cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_cell, jobs))
     else:
         results = [_sweep_cell(job) for job in jobs]
-    results.sort(key=lambda item: (item[0], item[1]))
 
     all_clean = all(clean for _, _, _, clean in results)
     if args.format == "csv":

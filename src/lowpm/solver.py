@@ -45,10 +45,9 @@ from .core import (
 )
 from .rng import SplitMix64
 
-DEFAULT_ORACLE_LIMIT = 16
-MAX_ORACLE_LIMIT = 24
-ORACLE_COST = ("one oracle call takes ~20 ms at order 20 and ~0.17 s at order 24, "
-               "growing ~2.6x per two vertices")
+DEFAULT_ORACLE_LIMIT = 24
+ORACLE_COST = ("one oracle call takes ~30 ms at order 20 and ~0.25 s at order 24, "
+               "growing ~3x per two vertices")
 
 R_LEVELS = (2, 3, 4)
 
@@ -59,13 +58,13 @@ class OracleLimitError(ParameterError):
 
 def refuse_past_oracle_limit(order: int, limit: int, other_way: str = "") -> None:
     """Raise :class:`OracleLimitError` past ``limit``: the one wording of the
-    refusal, naming --oracle-limit up to its maximum, then ``other_way``."""
+    refusal, naming --oracle-limit up to the default, then ``other_way``."""
     if order <= limit:
         return
-    if order <= MAX_ORACLE_LIMIT:
+    if order <= DEFAULT_ORACLE_LIMIT:
         ways = "; raise the limit (--oracle-limit)" + (f" or {other_way}" if other_way else "")
     else:
-        ways = (f" and the most --oracle-limit accepts, {MAX_ORACLE_LIMIT}"
+        ways = (f" and the most --oracle-limit accepts, {DEFAULT_ORACLE_LIMIT}"
                 + (f"; {other_way}" if other_way else ""))
     raise OracleLimitError(f"order {order} exceeds the oracle limit {limit}{ways} ({ORACLE_COST})")
 
@@ -243,7 +242,7 @@ def local_search_min_weight(
     witness stopped at |weight| 2 above a bound of 0.  The gap is 0 when
     order/2 is odd and at most 2 otherwise.
     """
-    if g.order < 4 or g.order % 2:
+    if g.order < 4:
         raise ParameterError(f"local search needs even order >= 4, got {g.order}")
     if start is not None and start.order != g.order:
         raise MatchingError("start matching does not cover the graph's vertex set")
@@ -300,8 +299,9 @@ def oracle_min_weight(
     the sets are filled bottom-up, lowest vertex descending.  The witness
     is the lexicographically smallest matching attaining the minimum.
 
-    Refuses instances with order above ``order_limit`` (default 16, which
-    already means 2,027,025 matchings); see :data:`ORACLE_COST`.
+    Refuses instances with order above ``order_limit``.  The default, 24,
+    means 316,234,143,225 matchings and 75,025 memo sets; see
+    :data:`ORACLE_COST`.
     """
     refuse_past_oracle_limit(g.order, order_limit)
     order = g.order

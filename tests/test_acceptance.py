@@ -183,7 +183,9 @@ def test_criterion_7_erdos_gallai():
         extremal_ok = extremal_ok and matching_number(graph.order, graph.edges) == n - k
     contrapositive = verify_erdos_gallai(2, 1, samples=1000, seed=7)
     checked = contrapositive.stats["samples_above_bound"]
-    ok = extremal_ok and contrapositive.ok and contrapositive.tested >= 1001 and checked > 0
+    # only the two extremal checks and the graphs above the bound are counted
+    counted = contrapositive.tested == contrapositive.passed == 2 + checked
+    ok = extremal_ok and contrapositive.ok and counted and checked > 0
     report_line(7, ok, f"five extremal graphs exact; contrapositive held on 1000 "
                        f"random order-8 graphs ({checked} above the bound)")
 

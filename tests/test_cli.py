@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lowpm import cli
+from lowpm import cli, oracle_min_weight, parse_instance
 from lowpm.cli import main
 
 
@@ -111,13 +111,6 @@ class TestSolveAndOracle:
         assert err.startswith("error: ")
         assert str(path) in err and "byte offset 25" in err
 
-    def test_oracle_limit_warning(self, tmp_path, capsys):
-        path = tmp_path / "inst.sk"
-        run(capsys, "gen", "random", "--order", "8", "--imbalance", "0", "-o", str(path))
-        code, _, err = run(capsys, "oracle", str(path), "--oracle-limit", "18")
-        assert code == 0
-        assert "warning" in err
-
     def test_oracle_limit_above_the_maximum_exits_2(self, tmp_path, capsys):
         path = tmp_path / "inst.sk"
         run(capsys, "gen", "random", "--order", "8", "--imbalance", "0", "-o", str(path))
@@ -133,7 +126,7 @@ class TestSolveAndOracle:
     def test_past_oracle_limit_names_the_flag(self, tmp_path, capsys, argv):
         path = tmp_path / "r20.sk"
         run(capsys, "gen", "random", "--order", "20", "--seed", "1", "-o", str(path))
-        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:], "--oracle-limit", "16")
         assert code == 2
         assert out == ""
         assert err.startswith("error: order 20 exceeds the oracle limit 16")
@@ -146,11 +139,44 @@ class TestSolveAndOracle:
         run(capsys, "gen", "random", "--order", "20", "--seed", "1", "-o", str(path))
         calls = []
         monkeypatch.setattr(cli, "local_search_min_weight", lambda *a, **kw: calls.append(a))
-        code, out, err = run(capsys, "solve", str(path), "--check-oracle")
+        code, out, err = run(capsys, "solve", str(path), "--check-oracle",
+                             "--oracle-limit", "16")
         assert code == 2
         assert out == ""
         assert err.startswith("error: order 20 exceeds the oracle limit 16")
         assert calls == []
+
+
+class TestOneOracleLimit:
+    def test_order_20_runs_with_no_flag(self, tmp_path, capsys):
+        path = tmp_path / "r20.sk"
+        run(capsys, "gen", "random", "--order", "20", "--seed", "1", "-o", str(path))
+        expected, _ = oracle_min_weight(parse_instance(path.read_text()))
+        code, out, err = run(capsys, "oracle", str(path))
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[0] == f"min_weight {expected}"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "tight", "--n", "50", "--k", "2", "--oracle-limit", "20"),
+        ("sweep", "tight", "--n-min", "40", "--n-max", "40", "--k-min", "2", "--k-max", "2",
+         "--oracle-limit", "18"),
+    ], ids=["verify", "sweep"])
+    def test_tight_past_the_limit_writes_no_stderr(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert err == ""
+
+    def test_order_26_refuses_with_no_flag(self, tmp_path, capsys):
+        path = tmp_path / "r26.sk"
+        # C(26, 2) is odd, so the imbalance is too
+        assert run(capsys, "gen", "random", "--order", "26", "--imbalance", "1",
+                   "-o", str(path))[0] == 0
+        code, out, err = run(capsys, "oracle", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: order 26 exceeds the oracle limit 24")
+        assert err.count("\n") == 1
 
 
 class TestVerify:
@@ -208,20 +234,13 @@ class TestVerify:
         (("thm2", "--n", "5", "--k", "2"), ("--oracle-limit",)),
     ], ids=["thm1", "thm2"])
     def test_past_oracle_limit_names_the_ways_out(self, capsys, argv, ways_out):
-        code, out, err = run(capsys, "verify", *argv)
+        code, out, err = run(capsys, "verify", *argv, "--oracle-limit", "16")
         assert code == 2
         assert out == ""
         assert err.startswith("error: order 20 exceeds the oracle limit 16")
         assert err.count("\n") == 1
         assert all(way in err for way in ways_out)
         assert "mode='solver'" not in err
-
-    @pytest.mark.parametrize("mode,warns", [("solver", False), ("both", True)])
-    def test_oracle_cost_warning_only_when_the_oracle_runs(self, capsys, mode, warns):
-        code, _, err = run(capsys, "verify", "thm1", "--n", "1", "--samples", "2",
-                           "--mode", mode, "--oracle-limit", "18")
-        assert code == 0
-        assert ("warning: oracle limit 18" in err) == warns
 
     def test_thm1_exhaustive_ignores_samples(self, capsys):
         code, out, _ = run(capsys, "verify", "thm1", "--n", "1", "--exhaustive",
@@ -289,7 +308,7 @@ class TestSweep:
         calls = []
         monkeypatch.setattr(cli, "verify_theorem2", lambda *a, **kw: calls.append(a))
         code, out, err = run(capsys, "sweep", "thm2", "--n-min", "4", "--n-max", "5",
-                             "--k-max", "2")
+                             "--k-max", "2", "--oracle-limit", "16")
         assert code == 2
         assert out == ""
         assert err.startswith("error: order 20 exceeds the oracle limit 16")

@@ -135,16 +135,14 @@ class TestOracle:
     def test_order_limit_refusal_names_limit(self):
         g = random_with_imbalance(18, 1, 0)
         with pytest.raises(OracleLimitError) as info:
-            oracle_min_weight(g)
-        assert "16" in str(info.value)
-        with pytest.raises(OracleLimitError):
             oracle_min_weight(g, order_limit=16)
+        assert "16" in str(info.value)
 
     def test_order_past_the_maximum_is_not_told_to_raise_the_limit(self):
-        # the limit cannot go past MAX_ORACLE_LIMIT, so the refusal says so instead
+        # --oracle-limit cannot go past the default, 24, so the refusal says so instead
         g = random_with_imbalance(26, 1, 0)
         with pytest.raises(OracleLimitError) as info:
-            oracle_min_weight(g)
+            oracle_min_weight(g, order_limit=16)
         message = str(info.value)
         assert message.startswith("order 26 exceeds the oracle limit 16")
         assert "the most --oracle-limit accepts, 24" in message

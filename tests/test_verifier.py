@@ -62,7 +62,7 @@ class TestTheorem1:
         with pytest.raises(ParameterError):
             verify_theorem1(2, exhaustive=True)
         with pytest.raises(ParameterError):
-            verify_theorem1(5, mode="oracle")  # order 20 above default limit
+            verify_theorem1(5, mode="oracle", oracle_limit=16)  # order 20 above the limit
         with pytest.raises(ParameterError):
             verify_theorem1(1, mode="everything")
 
@@ -122,7 +122,7 @@ class TestTheorem2:
         with pytest.raises(ParameterError):
             verify_theorem2(0, 2)
         with pytest.raises(ParameterError):
-            verify_theorem2(5, 2)  # order above oracle limit
+            verify_theorem2(5, 2, oracle_limit=16)  # order above oracle limit
         with pytest.raises(ParameterError):
             verify_theorem2(2, 2, grid="dense")
 
@@ -136,8 +136,8 @@ class TestTightness:
         assert report.rows[0]["bound"] == min_weight
 
     def test_above_oracle_scope_is_partial(self):
-        # order 20 is past the oracle; the minimum 2k is certified instead
-        report = verify_tightness(5, 2)
+        # order 20 is past the limit 16; the minimum 2k is certified instead
+        report = verify_tightness(5, 2, oracle_limit=16)
         assert report.ok
         assert "partial" not in report.stats
         assert (report.tested, report.passed) == (3, 3)
@@ -150,7 +150,7 @@ class TestTightness:
 
 class TestUncertifiedWitness:
     @pytest.mark.parametrize("run,g", [
-        (lambda: verify_tightness(5, 2), clique_instance(5, 2)),  # past the oracle limit
+        (lambda: verify_tightness(5, 2, oracle_limit=16), clique_instance(5, 2)),  # past the limit
         (lambda: verify_prop2(2), proposition2_instance(2)),
     ], ids=["tight", "prop2"])
     def test_witness_above_its_bound_fails_once(self, monkeypatch, run, g):
@@ -175,6 +175,14 @@ class TestErdosGallai:
         assert report.ok
         assert report.stats["samples_above_bound"] > 0
         assert report.tested == 202
+
+    def test_graphs_at_or_below_the_bound_are_not_counted(self):
+        # the README case: 11 of its 1000 graphs have at most 7 edges, so the
+        # contrapositive says nothing about them; each still gets a row
+        report = verify_erdos_gallai(2, 1, samples=1000, seed=7)
+        assert report.stats["samples_above_bound"] == 989
+        assert report.tested == report.passed == 2 + 989
+        assert len(report.rows) == 1 + 1000
 
     def test_edgeless_case(self):
         report = verify_erdos_gallai(2, 2, samples=50, seed=2)
