@@ -120,6 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def oracle_limit(text: str) -> int:
         if int(text) > DEFAULT_ORACLE_LIMIT:
             raise argparse.ArgumentTypeError(f"the maximum is {DEFAULT_ORACLE_LIMIT}, got {text}")
+        if int(text) < 2:  # the smallest instance order
+            raise argparse.ArgumentTypeError(f"the minimum is 2, got {text}")
         return int(text)
 
     for p in (solve, oracle, v_thm1, v_thm2, v_tight, sweep):

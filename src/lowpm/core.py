@@ -240,11 +240,13 @@ def sigma_matching(g: SignedCompleteGraph, m: PerfectMatching) -> int:
     """Weight of a perfect matching: the sum of its edge labels.
 
     Equals ``order/2 - 2 * (number of minus edges in m)``, so its parity is
-    fixed by the order: even whenever order/2 is even (e.g. order 4n).
+    fixed by the order: even whenever order/2 is even (e.g. order 4n).  The
+    lookup past the order check is unchecked: m's pairs are canonical and
+    cover 0..order-1, so every pair has 0 <= a < b < order.
     """
     if m.order != g.order:
         raise MatchingError(f"matching covers {m.order} vertices, graph has order {g.order}")
-    return sum(g.sign(a, b) for a, b in m.pairs)
+    return sum(g.signs[pair_row_offset(a, g.order) + b] for a, b in m.pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from typing import Iterator, NamedTuple
 
 from . import blossom
 from .core import (
-    MatchingError,
     Pair,
     ParameterError,
     PerfectMatching,
@@ -244,14 +243,12 @@ def local_search_min_weight(
     """
     if g.order < 4:
         raise ParameterError(f"local search needs even order >= 4, got {g.order}")
-    if start is not None and start.order != g.order:
-        raise MatchingError("start matching does not cover the graph's vertex set")
     floor = 0 if (g.order // 2) % 2 == 0 else 1
     signs, off = g.signs, _row_offsets(g.order)
     t0 = time.perf_counter()
 
     start = start or random_perfect_matching(g.order, SplitMix64(seed))
-    initial_weight = sum(signs[off[a] + b] for a, b in start.pairs)
+    initial_weight = sigma_matching(g, start)
     moves_applied = {r: 0 for r in R_LEVELS}
     edges, w = _descend(signs, off, start.pairs, initial_weight, floor, (2,), moves_applied)
     bound = floor
@@ -334,12 +331,7 @@ def oracle_min_weight(
                 memo[rest | ubit] = (hi << 1) | (lo >> 1)
 
     weights = memo[full]
-    min_abs = -1
-    for w in range(offset + 1):
-        if (weights >> (offset + w)) & 1 or (weights >> (offset - w)) & 1:
-            min_abs = w
-            break
-    assert min_abs >= 0
+    min_abs = min(abs(i - offset) for i in range(2 * offset + 1) if weights >> i & 1)
 
     targets = {t for t in (min_abs, -min_abs) if (weights >> (offset + t)) & 1}
     pairs: list[Pair] = []
@@ -374,20 +366,6 @@ def oracle_min_weight(
 # Sign-restricted matchings
 
 
-def _bipartite_side(order: int, edges: tuple[Pair, ...]) -> int | None:
-    """|A| when ``edges`` are exactly the pairs across a partition {A, B}, else None.
-
-    A is the side holding vertex 0, so B is the neighborhood of 0.
-    """
-    side_b = {v for u, v in edges if u == 0}
-    size_a = order - len(side_b)
-    if not side_b or len(edges) != size_a * len(side_b):
-        return None
-    if any((u in side_b) == (v in side_b) for u, v in edges):
-        return None
-    return size_a
-
-
 class Certificate(NamedTuple):
     """:func:`certify`'s bound and lo; the witness ``matching`` weighs ``weight``."""
 
@@ -403,70 +381,68 @@ def certify(g: SignedCompleteGraph) -> Certificate:
     A perfect matching with m minus edges weighs order/2 - 2m, and m is at
     most the minus class's matching number; symmetrically the weight is at
     most 2*nu_plus - order/2.  Every weight thus lies on the lattice
-    lo, lo+2, ..., hi with lo = order/2 - 2*nu_minus and hi = 2*nu_plus -
-    order/2; nu_plus is only computed when lo <= 0.  If one sign class is
-    the complete bipartite graph across a partition {A, B} of the vertices
-    (the two-block family), the other class is two cliques, so every perfect
-    matching pairs an even number of A's vertices inside A and uses a number
-    of class edges with the parity of |A|; weights breaking that parity are
-    dropped.  The bound is the smallest |weight| left on the lattice.  The
-    witness is M-, the minus maximum matching completed with plus edges,
-    when lo > 0, else the walk's first matching of least |weight| from M- to
-    M+, the plus maximum matching completed with minus edges.
+    lo, lo+2, ..., hi, where lo and hi are the weights of M- and M+, the
+    minus and plus classes' maximum matchings completed by
+    :func:`pm_from_sign_max_matching`; M+ is only built when lo <= 0.  If
+    the signs show one class to be the complete bipartite graph across a
+    partition {A, B} (the two-block family), the other class is two cliques,
+    so every perfect matching pairs an even number of A's vertices inside A
+    and uses a number of class edges with the parity of |A|; weights
+    breaking that parity are dropped.  The bound is the smallest |weight|
+    left on the lattice.  The witness is M- when lo > 0, else the walk's
+    first matching of least |weight| from M- to M+.
     """
-    order = g.order
-    half = order // 2
-    minus = sign_subgraph(g, -1).edges
-    minus_mm = blossom.maximum_matching(order, minus)
-    minus_pm = complete_sign_matching(g, minus_mm, -1)
-    lo = half - 2 * len(minus_mm)
+    minus_pm = pm_from_sign_max_matching(g, -1)
+    lo = sigma_matching(g, minus_pm)
     if lo > 0:  # M- attains lo, so lo meets every parity step
-        return Certificate(lo, lo, minus_pm, sigma_matching(g, minus_pm))
-    plus = sign_subgraph(g, 1).edges
-    plus_mm = blossom.maximum_matching(order, plus)
-    hi = 2 * len(plus_mm) - half
-    # (sign, parity): a matching's count of ``sign`` edges, (half + sign*w)/2,
-    # must have this parity
-    parities = []
-    for sign, edges in ((1, plus), (-1, minus)):
-        size_a = _bipartite_side(order, edges)
-        if size_a is not None:
-            parities.append((sign, size_a % 2))
-    bound = min(
-        abs(w)
-        for w in range(lo, hi + 1, 2)
-        if all((half + sign * w) // 2 % 2 == parity for sign, parity in parities)
-    )
-    mate = _mates(minus_pm.pairs)
-    target = _mates(complete_sign_matching(g, plus_mm, 1).pairs)
+        return Certificate(lo, lo, minus_pm, lo)
+    plus_pm = pm_from_sign_max_matching(g, 1)
+    hi = sigma_matching(g, plus_pm)
+    half = g.order // 2
+    # a matching's count of ``sign`` edges, (half + sign*w)/2, has the parity of |A|
+    block = _two_block_parity(g)
+    bound = min(abs(w) for w in range(lo, hi + 1, 2)
+                if block is None or (half + block[0] * w) // 2 % 2 == block[1])
+    mate, target = _mates(minus_pm.pairs), _mates(plus_pm.pairs)
     best = None
-    for w in _interpolation_walk(g.signs, _row_offsets(order), mate, target):
+    for w in _interpolation_walk(g.signs, _row_offsets(g.order), mate, target):
         if best is None or abs(w) < abs(best):
             best, pairs = w, tuple((a, b) for a, b in enumerate(mate) if a < b)
     return Certificate(bound, lo, PerfectMatching(pairs), best)
 
 
-def pm_from_sign_max_matching(g: SignedCompleteGraph, sign: int) -> PerfectMatching:
-    """Perfect matching built from a maximum matching of one sign class.
+def _two_block_parity(g: SignedCompleteGraph) -> tuple[int, int] | None:
+    """(sign, |A| % 2) when the ``sign`` class is exactly the pairs across a
+    partition {A, B} with 0 in A, else None.  Row 0 of the signs is then the
+    row of every u in A, sign(u, v) = sign(0, v), and negated that of every
+    u in B.  At most one class qualifies: the other is two cliques, never
+    complete bipartite at order >= 4, and empty at order 2.
+    """
+    order, signs = g.order, g.signs
+    a_row = signs[:order - 1]  # a_row[u:] holds sign(0, v) for v > u
+    b_row = tuple(-x for x in a_row)
+    for sign in set(a_row):  # the signs whose B, 0's neighbourhood, is nonempty
+        start = order - 1
+        for u in range(1, order - 1):
+            end = start + order - 1 - u
+            if signs[start:end] != (b_row if a_row[u - 1] == sign else a_row)[u:]:
+                break
+            start = end
+        else:
+            return sign, (order - a_row.count(sign)) % 2
+    return None
 
-    The vertices missed by the maximum matching span no edge of that sign
-    (else the matching could grow), so pairing them consecutively uses only
-    opposite-sign edges.  The result has weight
-    ``(order/2 - 2*nu) * (-sign)`` where nu is the sign's matching number;
-    for sign=-1 that is order/2 - 2*nu.
+
+def pm_from_sign_max_matching(g: SignedCompleteGraph, sign: int) -> PerfectMatching:
+    """A maximum matching of one sign class, completed to a perfect matching.
+
+    The vertices it misses are paired consecutively; by maximality they span
+    no edge of ``sign``, so each added pair carries -sign, as an assert
+    checks.  The weight is ``(order/2 - 2*nu) * (-sign)``, nu the sign's
+    matching number.
     """
     sub = sign_subgraph(g, sign)
-    return complete_sign_matching(g, blossom.maximum_matching(sub.order, sub.edges), sign)
-
-
-def complete_sign_matching(
-    g: SignedCompleteGraph, mm: tuple[Pair, ...], sign: int
-) -> PerfectMatching:
-    """Extend a maximum matching of one sign class to a perfect matching.
-
-    The uncovered vertices are paired consecutively; by maximality they span
-    no edge of ``sign``, so every added pair carries -sign.
-    """
+    mm = blossom.maximum_matching(sub.order, sub.edges)
     covered = {v for p in mm for v in p}
     uncovered = [v for v in range(g.order) if v not in covered]
     rest = [(uncovered[i], uncovered[i + 1]) for i in range(0, len(uncovered), 2)]

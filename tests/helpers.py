@@ -83,6 +83,29 @@ def sigma_by_index(g: SignedCompleteGraph, pairs) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _cross_masks(order: int) -> tuple:
+    """(|A|, bitmask over canonical pair indices of the pairs across {A, B})
+    for every partition of the vertices with 0 in A and B nonempty."""
+    pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    masks = []
+    for b_bits in range(1, 1 << (order - 1)):
+        side_b = {v for v in range(1, order) if b_bits >> (v - 1) & 1}
+        cross = sum(1 << i for i, (u, v) in enumerate(pairs) if (u in side_b) != (v in side_b))
+        masks.append((order - len(side_b), cross))
+    return tuple(masks)
+
+
+def brute_two_block_parities(g: SignedCompleteGraph) -> list[tuple[int, int]]:
+    """Every (sign, |A| % 2) such that the ``sign`` class is exactly the pairs
+    across a partition {A, B}, 0 in A and B nonempty, found by trying every
+    such partition against both classes' pair bitmasks."""
+    plus = sum(1 << i for i, x in enumerate(g.signs) if x > 0)
+    minus = ((1 << len(g.signs)) - 1) ^ plus
+    return [(sign, size_a % 2) for size_a, cross in _cross_masks(g.order)
+            for sign, cls in ((1, plus), (-1, minus)) if cls == cross]
+
+
 def raw_moves(g: SignedCompleteGraph, m: PerfectMatching, r: int):
     """The local search's own scan at ``r``: (removed_idxs, added, delta)."""
     return solver._iter_raw_moves(g.signs, solver._row_offsets(g.order), m.pairs, r)

@@ -121,6 +121,32 @@ class TestSolveAndOracle:
         assert captured.out == ""
         assert "--oracle-limit" in captured.err and "maximum is 24" in captured.err
 
+    @pytest.mark.parametrize("prog,argv", [
+        ("oracle", ("oracle", "{path}")),
+        ("verify tight", ("verify", "tight", "--n", "2", "--k", "2")),
+    ], ids=["oracle", "verify-tight"])
+    @pytest.mark.parametrize("limit", ["-3", "0"])
+    def test_oracle_limit_below_the_minimum_exits_2(self, tmp_path, capsys, prog, argv, limit):
+        path = tmp_path / "inst.sk"
+        path.write_text("signed-k 1\norder 8\nsigns " + "+-" * 14 + "\n")
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(path=path) for arg in argv] + ["--oracle-limit", limit])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [f"lowpm {prog}: error: argument --oracle-limit: "
+                          f"the minimum is 2, got {limit}"]
+        assert "Traceback" not in captured.err
+
+    def test_oracle_limit_at_the_minimum_answers_order_2(self, tmp_path, capsys):
+        path = tmp_path / "k2.sk"
+        path.write_text("signed-k 1\norder 2\nsigns -\n")
+        code, out, err = run(capsys, "oracle", str(path), "--oracle-limit", "2")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines() == ["min_weight 1", "matching 0-1"]
+
     @pytest.mark.parametrize("argv", [("oracle",), ("solve", "--check-oracle")],
                              ids=["oracle", "solve"])
     def test_past_oracle_limit_names_the_flag(self, tmp_path, capsys, argv):

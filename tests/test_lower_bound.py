@@ -34,6 +34,9 @@ from lowpm import (
     verify_tightness,
 )
 from lowpm import blossom, solver
+from lowpm.constructions import _two_block
+
+from helpers import brute_two_block_parities, sigma_by_index
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
@@ -49,7 +52,8 @@ def keep_artifact(stem, g):
 def assert_bound_matches_oracle(cases, oracle=True):
     """``cases`` yields (name, instance); every certificate must hold.
 
-    Its witness weighs ``weight``, read from the signs, and at least
+    Its witness weighs ``weight``, read from the signs through the
+    closed-form index, and at least
     ``bound``; ``lo`` comes from the minus class's matching number; the
     witness meets the bound when lo > 0 and is within 2 of it otherwise (on
     it when order/2 is odd).  With ``oracle`` the bound must also equal the
@@ -58,7 +62,7 @@ def assert_bound_matches_oracle(cases, oracle=True):
     failures = []
     for name, g in cases:
         cert = certify(g)
-        weight = sigma_matching(g, cert.matching)
+        weight = sigma_by_index(g, cert.matching.pairs)
         nu_minus = matching_number(g.order, sign_subgraph(g, -1).edges)
         ceiling = 0 if g.order // 2 % 2 or cert.lo > 0 else 2
         found = []
@@ -170,6 +174,49 @@ class TestBoundShape:
     @pytest.mark.parametrize("n,k", [(5, 2), (10, 3), (20, 7)])
     def test_clique_bound_past_oracle(self, n, k):
         assert certify(clique_instance(n, k)).bound == 2 * k
+
+
+def permuted(g, seed):
+    """``g`` with its vertices relabelled by a seeded permutation."""
+    perm = list(range(g.order))
+    SplitMix64(seed).shuffle(perm)
+    return SignedCompleteGraph.from_edge_sign(g.order, lambda u, v: g.sign(perm[u], perm[v]))
+
+
+class TestTwoBlockParity:
+    """``_two_block_parity`` reads the family off row templates; the
+    reference tries every partition {A, B} against both sign classes."""
+
+    def assert_matches_brute_force(self, cases):
+        failures = []
+        for name, g in cases:
+            expected, got = brute_two_block_parities(g), solver._two_block_parity(g)
+            if len(expected) > 1 or got != (expected or [None])[0]:
+                failures.append(f"{keep_artifact(f'two_block_{name}', g)}: "
+                                f"{got}, brute force {expected}")
+        assert not failures, "; ".join(failures)
+
+    def test_every_k4_and_k6_labeling(self):
+        self.assert_matches_brute_force(
+            case for order in (4, 6) for case in all_labelings(order))
+
+    @staticmethod
+    def two_block_instances():
+        # every sign layout, so both classes in turn are the bipartite one;
+        # t = 1 and t = order - 1 make a star of the across pairs
+        for order in range(4, 13, 2):
+            for t in range(1, order):
+                for layout in ((-1, 1, -1), (1, -1, 1), (1, -1, -1), (-1, 1, 1)):
+                    yield f"order{order}_t{t}_{layout}", _two_block(order, t, *layout)
+
+    def test_two_block_family_orders_4_to_12(self):
+        self.assert_matches_brute_force(self.two_block_instances())
+
+    def test_permuted_two_block_family(self):
+        # certify must find any partition, not only a lowest block 0..t-1
+        self.assert_matches_brute_force(
+            (f"{name}_perm{seed}", permuted(g, seed))
+            for name, g in self.two_block_instances() for seed in range(2))
 
 
 def matching_of(mate):

@@ -47,3 +47,22 @@ def test_traced_solve_and_verify(tracing, tmp_path):
     assert {"cli", "solver.search", "blossom", "verifier"} <= layers
     assert tracer.counts["solver.search.sideways"] == 0
     assert tracer.counts["solver.search.restarts"] == 0
+
+
+def test_certify_adds_no_signmatch_span(tracing):
+    # certify builds M- and M+ through pm_from_sign_max_matching too, but under
+    # solver's name, which the tracer leaves alone: solver.signmatch counts
+    # only the verifier's constructive route, one call per thm2 instance
+    tracer = tracing.Tracer()
+    tracer.reset_counts()
+    calls = []
+    with tracer.installed(MODULES), contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["verify", "thm2", "--n", "2", "--k", "2", "--samples", "3"],
+                     ["verify", "tight", "--n", "2", "--k", "2"]):
+            first = len(tracer.spans)
+            assert cli.main(argv) == 0
+            calls.append({layer: n for layer, (_, n) in tracer.layer_times(first).items()})
+    thm2, tight = calls
+    assert (thm2["solver.signmatch"], thm2["blossom"]) == (3, 3)
+    # the plus clique has lo = 2k > 0: one blossom call for M-, no M+
+    assert (tight["solver.signmatch"], tight["blossom"]) == (0, 1)
