@@ -124,6 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"the minimum is 2, got {text}")
         return int(text)
 
+    # tight checks the flag but never calls the oracle; the benchmark still passes it
     for p in (solve, oracle, v_thm1, v_thm2, v_tight, sweep):
         p.add_argument("--oracle-limit", type=oracle_limit, default=DEFAULT_ORACLE_LIMIT)
     for p in (solve, oracle):
@@ -242,7 +243,7 @@ def _cmd_verify(args) -> int:
             oracle_limit=args.oracle_limit,
         )
     elif args.statement == "tight":
-        report = verify_tightness(args.n, args.k, oracle_limit=args.oracle_limit)
+        report = verify_tightness(args.n, args.k)
     else:
         report = verify_erdos_gallai(args.n, args.k, samples=args.samples, seed=args.seed)
     return _emit_report(report, args.format)
@@ -253,7 +254,7 @@ def _sweep_cell(job: tuple) -> tuple[int, int, list[dict], bool]:
     if statement == "thm2":
         report = verify_theorem2(n, k, samples=samples, seed=seed, oracle_limit=oracle_limit)
     else:
-        report = verify_tightness(n, k, oracle_limit=oracle_limit)
+        report = verify_tightness(n, k)
     return n, k, report.rows, report.clean
 
 
@@ -269,7 +270,7 @@ def _cmd_sweep(args) -> int:
             jobs.append((args.statement, n, k, args.samples, args.seed, args.oracle_limit))
     if not jobs:
         raise LowpmError("empty sweep grid: check --n-min/--n-max/--k-min/--k-max")
-    if args.statement == "thm2":  # before any cell runs; tight certifies past the limit
+    if args.statement == "thm2":  # before any cell runs; tight never calls the oracle
         refuse_past_oracle_limit(4 * args.n_max, args.oracle_limit)
 
     workers = min(args.jobs, len(jobs))

@@ -57,7 +57,10 @@ class OracleLimitError(ParameterError):
 
 def refuse_past_oracle_limit(order: int, limit: int, other_way: str = "") -> None:
     """Raise :class:`OracleLimitError` past ``limit``: the one wording of the
-    refusal, naming --oracle-limit up to the default, then ``other_way``."""
+    refusal, naming --oracle-limit up to the default, then ``other_way``.
+    Every oracle limit is read here, so one outside 2..24 is refused here."""
+    if not 2 <= limit <= DEFAULT_ORACLE_LIMIT:
+        raise ParameterError(f"oracle limit must be between 2 and {DEFAULT_ORACLE_LIMIT}, got {limit}")
     if order <= limit:
         return
     if order <= DEFAULT_ORACLE_LIMIT:
@@ -296,9 +299,9 @@ def oracle_min_weight(
     the sets are filled bottom-up, lowest vertex descending.  The witness
     is the lexicographically smallest matching attaining the minimum.
 
-    Refuses instances with order above ``order_limit``.  The default, 24,
-    means 316,234,143,225 matchings and 75,025 memo sets; see
-    :data:`ORACLE_COST`.
+    Refuses instances with order above ``order_limit``, itself in 2..24.
+    The default, 24, means 316,234,143,225 matchings and 75,025 memo sets;
+    see :data:`ORACLE_COST`.
     """
     refuse_past_oracle_limit(g.order, order_limit)
     order = g.order

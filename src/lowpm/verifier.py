@@ -352,20 +352,19 @@ def verify_theorem2(
     return _finish(report, t0)
 
 
-def verify_tightness(n: int, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> VerifyReport:
+def verify_tightness(n: int, k: int) -> VerifyReport:
     """The plus-clique instance meets thm2_bound and its minimum weight is 2k.
 
     Checks the imbalance identity exactly, the minus matching number n-k,
     and that the weight minimum is 2k, i.e. strictly above the 2k-2
-    guarantee that stops just below bound.  The matching number is read
-    from :func:`certify`'s lo = order/2 - 2*nu_minus.  When the order fits
-    the oracle the minimum is oracle-asserted; past it, the certificate's
+    guarantee that stops just below bound.  Both are certified at every
+    order with no oracle call: the matching number is read from
+    :func:`certify`'s lo = order/2 - 2*nu_minus, and the certificate's
     witness, M- completed with plus edges, must weigh exactly lo.
     """
     t0 = time.perf_counter()
     report = VerifyReport(theorem="tightness", params={"n": n, "k": k}, seed=None)
     g = clique_instance(n, k)
-    order = 4 * n
 
     total = sigma_total(g)
     expected_total = thm2_bound(n, k)
@@ -375,17 +374,13 @@ def verify_tightness(n: int, k: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -
     )
 
     cert = certify(g)
-    nu = (order // 2 - cert.lo) // 2
+    nu = (g.order // 2 - cert.lo) // 2
     ok = report.check(
         g, f"minus_matching_number {n - k}", f"minus_matching_number {nu}",
         nu == n - k,
     ) and ok
 
-    if order <= oracle_limit:
-        observed_min, _ = oracle_min_weight(g, oracle_limit)
-        observed = f"min_weight {observed_min}"
-    else:
-        observed_min, observed = _certified_min(cert)
+    observed_min, observed = _certified_min(cert)
     ok = report.check(
         g, f"min_weight {2 * k}", observed, observed_min == 2 * k,
     ) and ok

@@ -167,9 +167,12 @@ def test_criterion_6_tightness():
     oracle_ok = True
     details = []
     for n, k in ((2, 2), (3, 2), (3, 3), (4, 2)):
+        # verify tight certifies the minimum; the oracle checks it independently
         report = verify_tightness(n, k)
-        oracle_ok = oracle_ok and report.ok and report.rows[0]["min_weight"] == 2 * k
-        details.append(f"({n},{k})->{report.rows[0]['min_weight']}")
+        exact, _ = oracle_min_weight(clique_instance(n, k))
+        oracle_ok = (oracle_ok and report.ok and exact == 2 * k
+                     and report.rows[0]["min_weight"] == exact)
+        details.append(f"({n},{k})->{exact}")
     ok = identity_ok and oracle_ok
     report_line(6, ok, "imbalance identity exact for 1<=k<=n<=50; oracle min = 2k "
                        f"on {', '.join(details)}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lowpm import cli, oracle_min_weight, parse_instance
+from lowpm import cli, oracle_min_weight, parse_instance, random_with_imbalance, solver, verifier
 from lowpm.cli import main
 
 
@@ -16,6 +16,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def missing_by_two(real):
+    """A local search that reports a weight 2 above the one it found."""
+    def solve(g, seed):
+        matching, report = real(g, seed=seed)
+        report.final_weight += 2
+        return matching, report
+
+    return solve
 
 
 class TestGen:
@@ -67,6 +77,19 @@ class TestSolveAndOracle:
         assert "oracle_min_weight 0" in out
         assert "oracle_agreement true" in out
 
+    def test_solve_disagreeing_with_the_oracle_exits_1(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "inst.sk"
+        run(capsys, "gen", "random", "--order", "8", "--imbalance", "0",
+            "--seed", "3", "-o", str(path))
+        monkeypatch.setattr(cli, "local_search_min_weight",
+                            missing_by_two(cli.local_search_min_weight))
+        code, out, err = run(capsys, "solve", str(path), "--seed", "7", "--check-oracle")
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert "final_weight 2" in lines and "oracle_min_weight 0" in lines
+        assert "oracle_agreement false" in lines
+
     def test_solve_json_format(self, tmp_path, capsys):
         path = tmp_path / "inst.sk"
         run(capsys, "gen", "prop2", "--k", "2", "-o", str(path))
@@ -94,6 +117,18 @@ class TestSolveAndOracle:
         code, _, err = run(capsys, "oracle", str(path))
         assert code == 2
         assert "28" in err
+
+    @pytest.mark.parametrize("text,where", [
+        ("signed-k 1\n", "line 2, column 1: missing 'order <N>' line"),
+        ("signed-k 1\norder 8\n", "line 3, column 1: expected 'signs <+/- string>'"),
+    ], ids=["header-only", "no-signs"])
+    def test_truncated_instance_exit_2(self, tmp_path, capsys, text, where):
+        path = tmp_path / "short.sk"
+        path.write_text(text)
+        code, out, err = run(capsys, "oracle", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {where}"]
 
     def test_non_ascii_order_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.sk"
@@ -193,6 +228,26 @@ class TestOneOracleLimit:
         assert code == 0
         assert err == ""
 
+    def test_tight_never_calls_the_oracle(self, capsys, monkeypatch):
+        calls = []
+        real = solver.oracle_min_weight
+
+        def spy(g, *args):
+            calls.append(g.order)
+            return real(g, *args)
+
+        for module in (solver, verifier, cli):
+            monkeypatch.setattr(module, "oracle_min_weight", spy)
+        for argv in (("verify", "tight", "--n", "5", "--k", "2"),
+                     ("verify", "tight", "--n", "6", "--k", "6", "--oracle-limit", "24"),
+                     ("sweep", "tight", "--n-min", "5", "--n-max", "6", "--k-min", "1",
+                      "--k-max", "6", "--jobs", "1")):
+            assert run(capsys, *argv)[0] == 0
+        assert calls == []
+        # the spy does see the oracle's callers
+        assert run(capsys, "verify", "thm2", "--n", "1", "--k", "2", "--samples", "1")[0] == 0
+        assert calls == [4]
+
     def test_order_26_refuses_with_no_flag(self, tmp_path, capsys):
         path = tmp_path / "r26.sk"
         # C(26, 2) is odd, so the imbalance is too
@@ -210,6 +265,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "thm1", "--n", "1", "--exhaustive")
         assert code == 0
         assert "tested      20" in out
+
+    def test_thm1_solver_mismatch_is_replayable_and_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(verifier, "local_search_min_weight",
+                            missing_by_two(verifier.local_search_min_weight))
+        argv = ("verify", "thm1", "--n", "1", "--samples", "1", "--seed", "5", "--mode", "both")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert (payload["tested"], payload["passed"], payload["failures"]) == (1, 1, [])
+        [entry] = payload["stats"]["solver_mismatches"]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        seed = int(out.splitlines()[1].split(",")[3])
+        g = parse_instance(entry["instance"])
+        assert g == random_with_imbalance(4, 0, seed)
+        assert entry["expected"] == f"solver |weight| {oracle_min_weight(g)[0]}"
+        assert entry["observed"] == "solver weight 2"
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "solver_mismatches 1" in out.splitlines()
 
     def test_thm1_sampled_json_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "verify", "thm1", "--n", "2", "--samples", "25",
@@ -291,6 +365,28 @@ class TestSweep:
         code2, out2, _ = run(capsys, *args, "--jobs", "2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_text_format_names_each_cell(self, capsys, monkeypatch):
+        args = ("sweep", "tight", "--n-max", "2", "--k-min", "1", "--k-max", "2",
+                "--format", "text")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out.splitlines() == ["n=1 k=1 instances=1 pass", "n=2 k=1 instances=1 pass",
+                                    "n=2 k=2 instances=1 pass"]
+
+        real = cli.verify_tightness
+
+        def failing_at_2_2(n, k):
+            report = real(n, k)
+            if (n, k) == (2, 2):
+                report.failures.append({"instance": "", "expected": "", "observed": ""})
+            return report
+
+        monkeypatch.setattr(cli, "verify_tightness", failing_at_2_2)
+        code, out, _ = run(capsys, *args)
+        assert code == 1
+        assert out.splitlines()[-1] == "n=2 k=2 instances=1 FAIL"
+        assert out.splitlines()[:2] == ["n=1 k=1 instances=1 pass", "n=2 k=1 instances=1 pass"]
 
     @pytest.mark.parametrize("n_max,workers", [(1, None), (2, 2)])
     def test_jobs_capped_at_grid_cells(self, capsys, monkeypatch, n_max, workers):

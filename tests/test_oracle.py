@@ -7,6 +7,7 @@ import pytest
 
 from lowpm import (
     OracleLimitError,
+    ParameterError,
     PerfectMatching,
     SignedCompleteGraph,
     certify,
@@ -16,6 +17,8 @@ from lowpm import (
     proposition2_instance,
     random_with_imbalance,
     sigma_matching,
+    verify_theorem2,
+    verify_tightness,
 )
 from lowpm.solver import _pairings
 
@@ -153,6 +156,27 @@ class TestOracle:
         w, witness = oracle_min_weight(g, order_limit=18)
         assert w % 2 == 1
         assert abs(sigma_matching(g, witness)) == w
+
+    @pytest.mark.parametrize("call,limit", [
+        (lambda: oracle_min_weight(random_with_imbalance(8, 0, 1), -3), -3),
+        (lambda: oracle_min_weight(random_with_imbalance(8, 0, 1), 1), 1),
+        (lambda: oracle_min_weight(random_with_imbalance(8, 0, 1), 25), 25),
+        (lambda: oracle_min_weight(random_with_imbalance(26, 1, 3), 26), 26),
+        (lambda: verify_theorem2(2, 2, oracle_limit=0), 0),
+    ], ids=["oracle-negative", "oracle-1", "oracle-25", "oracle-26-at-26", "thm2-0"])
+    def test_limit_outside_its_range_blames_the_limit(self, call, limit):
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert not isinstance(info.value, OracleLimitError)
+        assert str(info.value) == f"oracle limit must be between 2 and 24, got {limit}"
+
+    def test_limits_at_the_ends_of_the_range_are_accepted(self):
+        assert oracle_min_weight(SignedCompleteGraph(2, (-1,)), 2)[0] == 1
+        assert oracle_min_weight(random_with_imbalance(8, 0, 1), 24)[0] == 0
+
+    def test_tight_takes_no_limit(self):
+        with pytest.raises(TypeError):
+            verify_tightness(2, 2, oracle_limit=0)
 
     def test_witness_is_valid_perfect_matching(self):
         g = random_with_imbalance(12, 0, 9)

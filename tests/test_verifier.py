@@ -136,8 +136,8 @@ class TestTightness:
         assert report.rows[0]["bound"] == min_weight
 
     def test_above_oracle_scope_is_partial(self):
-        # order 20 is past the limit 16; the minimum 2k is certified instead
-        report = verify_tightness(5, 2, oracle_limit=16)
+        # the minimum 2k is certified, at order 20 as at every order
+        report = verify_tightness(5, 2)
         assert report.ok
         assert "partial" not in report.stats
         assert (report.tested, report.passed) == (3, 3)
@@ -150,7 +150,7 @@ class TestTightness:
 
 class TestUncertifiedWitness:
     @pytest.mark.parametrize("run,g", [
-        (lambda: verify_tightness(5, 2, oracle_limit=16), clique_instance(5, 2)),  # past the limit
+        (lambda: verify_tightness(5, 2), clique_instance(5, 2)),
         (lambda: verify_prop2(2), proposition2_instance(2)),
     ], ids=["tight", "prop2"])
     def test_witness_above_its_bound_fails_once(self, monkeypatch, run, g):
@@ -198,6 +198,21 @@ class TestErdosGallai:
         embedded = _graph_as_minus_instance(graph)
         assert sign_subgraph(parse_instance(serialize_instance(embedded)), -1).edges == graph.edges
         assert report.ok
+
+    def test_forced_failures_embed_their_instances(self, monkeypatch):
+        # a matching number of 0 fails the extremal check and every sample
+        # above the bound, so each failure entry is built from its callable
+        from lowpm import blossom, random_graph, sign_subgraph
+
+        monkeypatch.setattr(blossom, "matching_number", lambda order, edges: 0)
+        report = verify_erdos_gallai(2, 1, samples=20, seed=3)
+        extremal, *sampled = report.failures
+        assert extremal["expected"] == "matching_number 1"
+        assert parse_instance(extremal["instance"]) == clique_instance(2, 1)
+        seeds = [row["seed"] for row in report.rows[1:] if not row["pass"]]
+        assert len(sampled) == len(seeds) == report.stats["samples_above_bound"] > 0
+        for entry, seed in zip(sampled, seeds):
+            assert sign_subgraph(parse_instance(entry["instance"]), -1) == random_graph(8, seed)
 
 
 class TestReportShape:
