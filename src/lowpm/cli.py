@@ -124,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"the minimum is 2, got {text}")
         return int(text)
 
-    # tight checks the flag but never calls the oracle; the benchmark still passes it
-    for p in (solve, oracle, v_thm1, v_thm2, v_tight, sweep):
+    # thm2 and tight check the flag but never call the oracle; the benchmark still passes it
+    for p in (solve, oracle, v_thm1, v_thm2, v_tight):
         p.add_argument("--oracle-limit", type=oracle_limit, default=DEFAULT_ORACLE_LIMIT)
     for p in (solve, oracle):
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -240,7 +240,6 @@ def _cmd_verify(args) -> int:
     elif args.statement == "thm2":
         report = verify_theorem2(
             args.n, args.k, samples=args.samples, seed=args.seed, grid=args.grid,
-            oracle_limit=args.oracle_limit,
         )
     elif args.statement == "tight":
         report = verify_tightness(args.n, args.k)
@@ -250,9 +249,9 @@ def _cmd_verify(args) -> int:
 
 
 def _sweep_cell(job: tuple) -> tuple[int, int, list[dict], bool]:
-    statement, n, k, samples, seed, oracle_limit = job
+    statement, n, k, samples, seed = job
     if statement == "thm2":
-        report = verify_theorem2(n, k, samples=samples, seed=seed, oracle_limit=oracle_limit)
+        report = verify_theorem2(n, k, samples=samples, seed=seed)
     else:
         report = verify_tightness(n, k)
     return n, k, report.rows, report.clean
@@ -267,11 +266,9 @@ def _cmd_sweep(args) -> int:
     for n in range(args.n_min, args.n_max + 1):
         k_top = min(args.k_max, n) if args.statement == "tight" else args.k_max
         for k in range(args.k_min, k_top + 1):
-            jobs.append((args.statement, n, k, args.samples, args.seed, args.oracle_limit))
+            jobs.append((args.statement, n, k, args.samples, args.seed))
     if not jobs:
         raise LowpmError("empty sweep grid: check --n-min/--n-max/--k-min/--k-max")
-    if args.statement == "thm2":  # before any cell runs; tight never calls the oracle
-        refuse_past_oracle_limit(4 * args.n_max, args.oracle_limit)
 
     workers = min(args.jobs, len(jobs))
     if workers > 1:

@@ -198,9 +198,9 @@ def verify_theorem1(
     if not exhaustive:
         _require_samples(samples)
     order = 4 * n
-    if mode in ("oracle", "both"):
-        refuse_past_oracle_limit(order, oracle_limit,
-                                 "check with the solver alone (--mode solver)")
+    # the limit's range is checked in every mode; it caps the order only where the oracle runs
+    refuse_past_oracle_limit(0 if mode == "solver" else order, oracle_limit,
+                             "check with the solver alone (--mode solver)")
 
     t0 = time.perf_counter()
     report = VerifyReport(
@@ -285,7 +285,6 @@ def verify_theorem2(
     samples: int = 50,
     seed: int = 0,
     grid: str = "sampled",
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> VerifyReport:
     """Imbalance below thm2_bound(n,k) forces a matching of |weight| <= 2k-2.
 
@@ -293,6 +292,11 @@ def verify_theorem2(
     instances each; ``grid="sampled"`` checks ``samples`` imbalances: the
     extremes 0 and +/-(bound-2) first, as far as ``samples`` reaches, then
     uniform draws.
+    Each instance is decided at every order by the witness of one solve,
+    since the statement asks only for some light matching; a row's
+    ``min_weight`` is blank unless the solve's gap is 0.  A gap > 0 means
+    :func:`certify`'s walk straddles zero and passes |weight| <= 2 <= 2k-2,
+    so a failure has gap 0 and is a counterexample.
     The constructive route (perfect matching grown from a maximum matching
     of the minority sign) runs alongside and its worst weight is recorded
     under ``stats``.
@@ -305,7 +309,6 @@ def verify_theorem2(
         raise ParameterError(f"grid must be 'full' or 'sampled', got {grid!r}")
     _require_samples(samples)
     order = 4 * n
-    refuse_past_oracle_limit(order, oracle_limit)
 
     bound = thm2_bound(n, k)
     threshold = 2 * k - 2
@@ -333,19 +336,17 @@ def verify_theorem2(
     for s in plan:
         inst_seed = stream.next_u64()
         g = random_with_imbalance(order, s, inst_seed)
-        observed_min, _ = oracle_min_weight(g, oracle_limit)
+        _, solve = local_search_min_weight(g, seed=inst_seed)
+        weight = abs(solve.final_weight)
         ok = report.check(
-            g,
-            f"min_weight <= {threshold}",
-            f"min_weight {observed_min}",
-            observed_min <= threshold,
+            g, f"min_weight <= {threshold}", f"min_weight {weight}", weight <= threshold,
         )
         minority_sign = -1 if s >= 0 else 1
         constructive = sigma_matching(g, pm_from_sign_max_matching(g, minority_sign))
         worst_constructive = max(worst_constructive, abs(constructive))
         report.rows.append(
-            {"n": n, "k": k, "s": s, "seed": inst_seed, "min_weight": observed_min,
-             "bound": threshold, "pass": ok}
+            {"n": n, "k": k, "s": s, "seed": inst_seed,
+             "min_weight": weight if solve.gap == 0 else "", "bound": threshold, "pass": ok}
         )
 
     report.stats["constructive_max_abs_weight"] = worst_constructive
@@ -424,17 +425,17 @@ def verify_erdos_gallai(
 
     extremal = eg_extremal_graph(n, k)
     extremal_instance = partial(clique_instance, n, k)
-    report.check(
+    ok = report.check(
         extremal_instance, f"edges {bound}", f"edges {extremal.edge_count}",
         extremal.edge_count == bound,
     )
     nu = blossom.matching_number(extremal.order, extremal.edges)
-    extremal_ok = report.check(
+    ok = report.check(
         extremal_instance, f"matching_number {n - k}", f"matching_number {nu}", nu == n - k
-    )
+    ) and ok
     report.rows.append(
         {"n": n, "k": k, "s": extremal.edge_count, "seed": "", "min_weight": nu,
-         "bound": bound, "pass": extremal_ok}
+         "bound": bound, "pass": ok}
     )
 
     stream = SplitMix64(seed)

@@ -220,15 +220,16 @@ class TestOneOracleLimit:
 
     @pytest.mark.parametrize("argv", [
         ("verify", "tight", "--n", "50", "--k", "2", "--oracle-limit", "20"),
-        ("sweep", "tight", "--n-min", "40", "--n-max", "40", "--k-min", "2", "--k-max", "2",
-         "--oracle-limit", "18"),
+        ("sweep", "tight", "--n-min", "40", "--n-max", "40", "--k-min", "2", "--k-max", "2"),
     ], ids=["verify", "sweep"])
     def test_tight_past_the_limit_writes_no_stderr(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 0
         assert err == ""
 
-    def test_tight_never_calls_the_oracle(self, capsys, monkeypatch):
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        """The order of each ``oracle_min_weight`` call, wherever it is looked up."""
         calls = []
         real = solver.oracle_min_weight
 
@@ -238,15 +239,28 @@ class TestOneOracleLimit:
 
         for module in (solver, verifier, cli):
             monkeypatch.setattr(module, "oracle_min_weight", spy)
+        return calls
+
+    def test_tight_never_calls_the_oracle(self, capsys, oracle_calls):
         for argv in (("verify", "tight", "--n", "5", "--k", "2"),
                      ("verify", "tight", "--n", "6", "--k", "6", "--oracle-limit", "24"),
                      ("sweep", "tight", "--n-min", "5", "--n-max", "6", "--k-min", "1",
                       "--k-max", "6", "--jobs", "1")):
             assert run(capsys, *argv)[0] == 0
-        assert calls == []
+        assert oracle_calls == []
         # the spy does see the oracle's callers
-        assert run(capsys, "verify", "thm2", "--n", "1", "--k", "2", "--samples", "1")[0] == 0
-        assert calls == [4]
+        assert run(capsys, "verify", "thm1", "--n", "1", "--samples", "1")[0] == 0
+        assert oracle_calls == [4]
+
+    def test_thm2_never_calls_the_oracle(self, capsys, oracle_calls):
+        # the limit is still parsed on verify thm2, for the benchmark's argv, but read by nothing
+        for argv in (("verify", "thm2", "--n", "5", "--k", "2", "--oracle-limit", "16"),
+                     ("verify", "thm2", "--n", "7", "--k", "3", "--samples", "10"),
+                     ("sweep", "thm2", "--n-min", "5", "--n-max", "7", "--k-max", "3",
+                      "--samples", "5", "--jobs", "1")):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+        assert oracle_calls == []
 
     def test_order_26_refuses_with_no_flag(self, tmp_path, capsys):
         path = tmp_path / "r26.sk"
@@ -284,6 +298,23 @@ class TestVerify:
         code, out, _ = run(capsys, *argv)
         assert code == 1
         assert "solver_mismatches 1" in out.splitlines()
+
+    def test_thm2_counterexample_exits_1(self, capsys, monkeypatch):
+        real = verifier.local_search_min_weight
+
+        def heavy(g, seed):
+            # a proven minimum of 4, above k = 2's threshold of 2
+            matching, report = real(g, seed=seed)
+            report.final_weight = report.lower_bound = 4
+            return matching, report
+
+        monkeypatch.setattr(verifier, "local_search_min_weight", heavy)
+        argv = ("verify", "thm2", "--n", "2", "--k", "2", "--samples", "1", "--seed", "5")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        [entry] = json.loads(out)["failures"]
+        assert (entry["expected"], entry["observed"]) == ("min_weight <= 2", "min_weight 4")
+        assert run(capsys, *argv)[0] == 1
 
     def test_thm1_sampled_json_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "verify", "thm1", "--n", "2", "--samples", "25",
@@ -331,8 +362,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv,ways_out", [
         (("thm1", "--n", "5"), ("--oracle-limit", "--mode solver")),
-        (("thm2", "--n", "5", "--k", "2"), ("--oracle-limit",)),
-    ], ids=["thm1", "thm2"])
+    ], ids=["thm1"])
     def test_past_oracle_limit_names_the_ways_out(self, capsys, argv, ways_out):
         code, out, err = run(capsys, "verify", *argv, "--oracle-limit", "16")
         assert code == 2
@@ -425,16 +455,12 @@ class TestSweep:
         assert out == ""
         assert f"{flag} must be a positive integer, got {value}" in err
 
-    def test_thm2_refuses_before_any_cell(self, capsys, monkeypatch):
-        # the n = 4 cells fit the oracle, the n = 5 ones do not
-        calls = []
-        monkeypatch.setattr(cli, "verify_theorem2", lambda *a, **kw: calls.append(a))
-        code, out, err = run(capsys, "sweep", "thm2", "--n-min", "4", "--n-max", "5",
-                             "--k-max", "2", "--oracle-limit", "16")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: order 20 exceeds the oracle limit 16")
-        assert calls == []
+    def test_oracle_limit_flag_is_gone(self, capsys):
+        # neither statement calls the oracle, so no sweep reads a limit
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "thm2", "--n-max", "1", "--k-max", "2", "--oracle-limit", "20"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --oracle-limit 20" in capsys.readouterr().err
 
     def test_empty_grid_exit_2(self, capsys):
         code, _, err = run(capsys, "sweep", "thm2", "--n-min", "3", "--n-max", "2",

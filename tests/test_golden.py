@@ -51,6 +51,23 @@ def test_stdout_digest(argv):
     assert stdout_digest(argv) == GOLDEN[argv]
 
 
+# thm2's JSON report has no rows; these pin its rows' minimum weights and verdicts,
+# which the solve's witness decides at every order.
+THM2_ROWS_GOLDEN = {
+    ("verify", "thm2", "--n", "5", "--k", "2", "--samples", "20", "--seed", "1000",
+     "--format", "csv"):
+        "9ce555774519bd4d129cb234e06e94787847cd963dc32bd391f5787d5de9b460",
+    ("sweep", "thm2", "--n-min", "1", "--n-max", "5", "--k-min", "2", "--k-max", "4",
+     "--samples", "10", "--seed", "3"):
+        "01629a77ae2ab4589f95244cfc43bc7b0860f801e014b4acc6fa5e44b16adf77",
+}
+
+
+@pytest.mark.parametrize("argv", list(THM2_ROWS_GOLDEN), ids=lambda argv: argv[0])
+def test_thm2_rows_digest(argv):
+    assert stdout_digest(argv) == THM2_ROWS_GOLDEN[argv]
+
+
 # Each case above draws at most 1,128 words per instance, less than one chunk of
 # rng's packed draw; these draw 9,950 sampled words and 19,900 words per graph.
 LONG_STREAM_GOLDEN = {

@@ -2,7 +2,8 @@
 
 ``certify`` is what lets the local search stop above the parity floor and
 what ``verify prop2`` and ``verify tight`` decide by; its witness, from the
-walk, is what takes a stalled search to within 2 of the bound.  Any
+walk, is what takes a stalled search to within 2 of the bound, and the
+solve's witness is what ``verify thm2`` decides by.  Any
 instance where the bound disagrees with the oracle, or the witness with
 its weight or its guarantee, is kept: it is written to ``tests/artifacts/``
 as a named ``.sk`` file and the test fails.  A bound above the oracle is
@@ -31,6 +32,7 @@ from lowpm import (
     sigma_matching,
     sign_subgraph,
     verify_prop2,
+    verify_theorem2,
     verify_tightness,
 )
 from lowpm import blossom, solver
@@ -316,6 +318,22 @@ class TestInterpolationWalk:
                  if case[1].order <= 28]
         cases += random_instances((20, 24, 28))
         assert_solves(cases, oracle=False)
+
+
+class TestTheorem2Witness:
+    def test_rows_equal_the_oracle(self):
+        # every cell with n <= 4 and 2 <= k <= n + 2, plus order 20 at k = 2
+        cells = [(n, k) for n in range(1, 5) for k in range(2, n + 3)] + [(5, 2)]
+        failures = []
+        for n, k in cells:
+            for row in verify_theorem2(n, k, samples=20, seed=n + k).rows:
+                g = random_with_imbalance(4 * n, row["s"], row["seed"])
+                exact, _ = oracle_min_weight(g)
+                observed = (row["min_weight"], row["pass"])
+                if observed != (exact, exact <= 2 * k - 2):
+                    name = keep_artifact(f"thm2_n{n}_k{k}_{row['seed']}", g)
+                    failures.append(f"{name}: row {observed}, oracle {exact}")
+        assert not failures, "; ".join(failures)
 
 
 class TestMatchingNumbers:

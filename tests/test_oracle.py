@@ -17,6 +17,7 @@ from lowpm import (
     proposition2_instance,
     random_with_imbalance,
     sigma_matching,
+    verify_theorem1,
     verify_theorem2,
     verify_tightness,
 )
@@ -162,8 +163,10 @@ class TestOracle:
         (lambda: oracle_min_weight(random_with_imbalance(8, 0, 1), 1), 1),
         (lambda: oracle_min_weight(random_with_imbalance(8, 0, 1), 25), 25),
         (lambda: oracle_min_weight(random_with_imbalance(26, 1, 3), 26), 26),
-        (lambda: verify_theorem2(2, 2, oracle_limit=0), 0),
-    ], ids=["oracle-negative", "oracle-1", "oracle-25", "oracle-26-at-26", "thm2-0"])
+        (lambda: verify_theorem1(1, samples=2, mode="solver", oracle_limit=0), 0),
+        (lambda: verify_theorem1(10, samples=2, mode="solver", oracle_limit=99), 99),
+    ], ids=["oracle-negative", "oracle-1", "oracle-25", "oracle-26-at-26", "thm1-solver-0",
+            "thm1-solver-99"])
     def test_limit_outside_its_range_blames_the_limit(self, call, limit):
         with pytest.raises(ParameterError) as info:
             call()
@@ -177,6 +180,10 @@ class TestOracle:
     def test_tight_takes_no_limit(self):
         with pytest.raises(TypeError):
             verify_tightness(2, 2, oracle_limit=0)
+
+    def test_thm2_takes_no_limit(self):
+        with pytest.raises(TypeError):
+            verify_theorem2(2, 2, oracle_limit=24)
 
     def test_witness_is_valid_perfect_matching(self):
         g = random_with_imbalance(12, 0, 9)

@@ -52,7 +52,9 @@ def test_traced_solve_and_verify(tracing, tmp_path):
 def test_certify_adds_no_signmatch_span(tracing):
     # certify builds M- and M+ through pm_from_sign_max_matching too, but under
     # solver's name, which the tracer leaves alone: solver.signmatch counts
-    # only the verifier's constructive route, one call per thm2 instance
+    # only the verifier's constructive route, one call per thm2 instance.
+    # blossom counts those 3 and the certify of each solve that stalls above
+    # the floor: s = 26 (lo = 2 > 0, M- only) and s = -26 (M- and M+)
     tracer = tracing.Tracer()
     tracer.reset_counts()
     calls = []
@@ -63,6 +65,6 @@ def test_certify_adds_no_signmatch_span(tracing):
             assert cli.main(argv) == 0
             calls.append({layer: n for layer, (_, n) in tracer.layer_times(first).items()})
     thm2, tight = calls
-    assert (thm2["solver.signmatch"], thm2["blossom"]) == (3, 3)
+    assert (thm2["solver.signmatch"], thm2["blossom"]) == (3, 6)
     # the plus clique has lo = 2k > 0: one blossom call for M-, no M+
     assert (tight["solver.signmatch"], tight["blossom"]) == (0, 1)

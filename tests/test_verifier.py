@@ -6,6 +6,7 @@ import pytest
 
 from lowpm import (
     ParameterError,
+    SolveReport,
     VerifyReport,
     clique_instance,
     pair_count,
@@ -19,7 +20,7 @@ from lowpm import (
     verify_theorem2,
     verify_tightness,
 )
-from lowpm import verifier
+from lowpm import local_search_min_weight, verifier
 
 
 def strip_elapsed(report_json: str) -> dict:
@@ -122,9 +123,37 @@ class TestTheorem2:
         with pytest.raises(ParameterError):
             verify_theorem2(0, 2)
         with pytest.raises(ParameterError):
-            verify_theorem2(5, 2, oracle_limit=16)  # order above oracle limit
-        with pytest.raises(ParameterError):
             verify_theorem2(2, 2, grid="dense")
+
+    @staticmethod
+    def solved_at(weight, bound):
+        """A local search whose report ends at ``weight`` above ``bound``."""
+        def solve(g, seed):
+            matching, _ = local_search_min_weight(g, seed=seed)
+            return matching, SolveReport(initial_weight=weight, final_weight=weight,
+                                         moves_applied={}, stop_reason="certified",
+                                         lower_bound=bound)
+
+        return solve
+
+    def test_certified_witness_above_the_threshold_fails_replayably(self, monkeypatch):
+        # k = 3: the threshold is 4, so a proven minimum of 6 is a counterexample
+        monkeypatch.setattr(verifier, "local_search_min_weight", self.solved_at(-6, 6))
+        report = verify_theorem2(2, 3, samples=3, seed=4)
+        assert report.tested == 3 and report.passed == 0
+        for entry, row in zip(report.failures, report.rows):
+            assert (entry["expected"], entry["observed"]) == ("min_weight <= 4", "min_weight 6")
+            assert parse_instance(entry["instance"]) == random_with_imbalance(
+                8, row["s"], row["seed"])
+            assert (row["min_weight"], row["pass"]) == (6, False)
+
+    def test_light_witness_above_its_bound_passes_with_no_minimum(self, monkeypatch):
+        # a gap > 0 proves no minimum, but a witness of |weight| 2 proves the statement
+        monkeypatch.setattr(verifier, "local_search_min_weight", self.solved_at(2, 0))
+        report = verify_theorem2(3, 2, samples=4, seed=1)
+        assert report.ok and report.passed == 4
+        assert [row["min_weight"] for row in report.rows] == [""] * 4
+        assert all(row["pass"] for row in report.rows)
 
 
 class TestTightness:
@@ -198,6 +227,16 @@ class TestErdosGallai:
         embedded = _graph_as_minus_instance(graph)
         assert sign_subgraph(parse_instance(serialize_instance(embedded)), -1).edges == graph.edges
         assert report.ok
+
+    def test_extremal_row_fails_on_its_edge_count(self, monkeypatch):
+        # the matching number still checks out; the row must not say pass
+        from lowpm.constructions import eg_edge_bound
+
+        monkeypatch.setattr(verifier, "eg_edge_bound", lambda n, k: eg_edge_bound(n, k) + 1)
+        report = verify_erdos_gallai(2, 1, samples=5, seed=3)
+        assert [(entry["expected"], entry["observed"]) for entry in report.failures] == [
+            ("edges 8", "edges 7")]
+        assert report.rows[0]["pass"] is False
 
     def test_forced_failures_embed_their_instances(self, monkeypatch):
         # a matching number of 0 fails the extremal check and every sample
