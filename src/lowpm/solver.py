@@ -3,16 +3,18 @@
 The local move replaces ``r`` edges of the current perfect matching with a
 different perfect matching on the same ``2r`` vertices (their symmetric
 difference is a union of alternating cycles).  One scan generates every
-move with r in {2, 3, 4}; it reads signs straight from the instance's flat
-``signs`` tuple through per-row offsets computed once per call.
+move with r in {2, 3, 4}, optionally anchored on edges every move removes;
+it reads signs straight from the instance's flat ``signs`` tuple through
+per-row offsets computed once per call.
 
 A solve has one route: an r = 2 descent to the parity floor; on a stall
 above it, :func:`certify`'s bound and witness, the best matching of the
 interpolation walk, which swaps the least-weight matching into the
 greatest-weight one two edges at a time.  Each swap moves the weight by at
 most 4, so the walk passes |weight| <= 2 when the two straddle 0 and ends
-optimal when they do not.  Only a witness above the bound is polished by a
-descent escalating r = 2 -> 3 -> 4.
+optimal when they do not.  A walk that jumps from -2 to +2 over a bound of
+0 is bridged by one exchange anchored on that swap; only these anchored
+scans reach r = 3 and 4.
 
 The oracle computes the exact minimum of |weight| over all perfect
 matchings with a bitmask memo of the achievable weights of every vertex set
@@ -77,9 +79,12 @@ class SolveReport:
 
     ``stop_reason`` is ``floor`` (|weight| reached the parity floor),
     ``certified`` (|weight| reached :func:`certify`'s bound) or ``no_move``
-    (uncertified after the polish).  ``lower_bound`` is the floor in the
-    first case and the certified bound otherwise; ``gap`` is
+    (uncertified: the walk jumped over 0 and no anchored exchange bridged
+    it, so the gap is 2).  ``lower_bound`` is the floor in the first case
+    and the certified bound otherwise; ``gap`` is
     |final_weight| - lower_bound, so 0 means the result is proven optimal.
+    ``moves_applied`` counts the descent's r = 2 moves and the bridging
+    exchange, by r.
     """
 
     initial_weight: int
@@ -150,16 +155,23 @@ def _edges_after(edges: tuple[Pair, ...], removed_idxs, added) -> tuple[Pair, ..
     return tuple(keep)
 
 
-def _iter_raw_moves(signs, off, edges, r):
+def _iter_raw_moves(signs, off, edges, r, anchor=()):
     """(removed_idxs, added_pairs, delta) in canonical order, r fixed.
 
-    Removed subsets come in ``combinations`` order, and each subset's added
-    pairings in lexicographic order.  ``off`` is :func:`_row_offsets`; the
-    flat lookup is valid because removed pairs are canonical and added pairs
-    are built from increasing positions over sorted vertices, so a < b.
+    Removed subsets are the ``anchor`` indices into ``edges`` plus each
+    ``combinations`` of r - len(anchor) other indices, and each subset's
+    added pairings come in lexicographic order.  ``off`` is
+    :func:`_row_offsets`; the flat lookup is valid because removed pairs are
+    canonical and added pairs are built from increasing positions over
+    sorted vertices, so a < b.
     """
     patterns = _PATTERNS[r]
-    for idxs in combinations(range(len(edges)), r):
+    if anchor:
+        others = [i for i in range(len(edges)) if i not in anchor]
+        subsets = (anchor + rest for rest in combinations(others, r - len(anchor)))
+    else:
+        subsets = combinations(range(len(edges)), r)
+    for idxs in subsets:
         removed = [edges[i] for i in idxs]
         verts = sorted(v for p in removed for v in p)
         pos = {v: i for i, v in enumerate(verts)}
@@ -176,22 +188,23 @@ def _iter_raw_moves(signs, off, edges, r):
                 yield idxs, added, total - sigma_removed
 
 
-def _find_improving(signs, off, edges, weight, levels):
-    """The first move that lowers |weight|, at the smallest r in ``levels``."""
+def _find_improving(signs, off, edges, weight, anchor=()):
+    """The first move that lowers |weight|: an r = 2 move or, given an
+    ``anchor``, a move removing the anchor edges, at the smallest r <= 4."""
     current_abs = abs(weight)
-    for r in levels:
+    for r in R_LEVELS if anchor else (2,):
         if r > len(edges):
             break
-        for idxs, added, delta in _iter_raw_moves(signs, off, edges, r):
+        for idxs, added, delta in _iter_raw_moves(signs, off, edges, r, anchor):
             if abs(weight + delta) < current_abs:
                 return idxs, added, delta
     return None
 
 
-def _descend(signs, off, edges, w, stop_at, levels, moves_applied):
-    """Apply improving moves until |w| <= stop_at or none is left."""
+def _descend(signs, off, edges, w, stop_at, moves_applied):
+    """Apply improving r = 2 moves until |w| <= stop_at or none is left."""
     while abs(w) > stop_at:
-        move = _find_improving(signs, off, edges, w, levels)
+        move = _find_improving(signs, off, edges, w)
         if move is None:
             break
         idxs, added, delta = move
@@ -206,6 +219,10 @@ def _mates(pairs: tuple[Pair, ...]) -> list[int]:
     for a, b in pairs:
         mate[a], mate[b] = b, a
     return mate
+
+
+def _pairs_of(mate: list[int]) -> tuple[Pair, ...]:
+    return tuple((a, b) for a, b in enumerate(mate) if a < b)
 
 
 def _interpolation_walk(signs, off, mate, target) -> Iterator[int]:
@@ -233,16 +250,15 @@ def _interpolation_walk(signs, off, mate, target) -> Iterator[int]:
 def local_search_min_weight(
     g: SignedCompleteGraph, *, seed: int = 0, start: PerfectMatching | None = None
 ) -> tuple[PerfectMatching, SolveReport]:
-    """Minimize |weight|: r = 2 descent, certificate, r <= 4 polish.
+    """Minimize |weight|: r = 2 descent, then :func:`certify`.
 
     Descends by improving r = 2 exchanges from ``start`` or, when it is
     None, one random matching drawn from ``seed``, stopping at the parity
     floor (0 when order/2 is even, else 1).  A stall above it calls
-    :func:`certify`; on a stall above the bound, the certificate's witness
-    replaces the stalled matching when it weighs less.  A descent with
-    r <= 4 down to the bound ends the solve; it scans r = 3/4 only when the
-    witness stopped at |weight| 2 above a bound of 0.  The gap is 0 when
-    order/2 is odd and at most 2 otherwise.
+    :func:`certify`, whose witness replaces the stalled matching when it
+    weighs less; the exchange that bridged the walk's jump over 0, if any,
+    is counted under its r.  The gap is 0 unless the bridge found no
+    anchored exchange, and then it is 2.
     """
     if g.order < 4:
         raise ParameterError(f"local search needs even order >= 4, got {g.order}")
@@ -253,17 +269,17 @@ def local_search_min_weight(
     start = start or random_perfect_matching(g.order, SplitMix64(seed))
     initial_weight = sigma_matching(g, start)
     moves_applied = {r: 0 for r in R_LEVELS}
-    edges, w = _descend(signs, off, start.pairs, initial_weight, floor, (2,), moves_applied)
+    edges, w = _descend(signs, off, start.pairs, initial_weight, floor, moves_applied)
     bound = floor
     if abs(w) > floor:
-        # one or two blossom calls and <= order/2 walk swaps, not ~order^4-pattern scans
+        # one or two blossom calls, <= order/2 walk swaps and at most one anchored scan
         cert = certify(g)
         bound = cert.bound
-        if abs(w) > bound:
-            # a tie keeps the r = 2 optimum, which needed fewer r = 4 scans to polish
-            if abs(cert.weight) < abs(w):
-                edges, w = cert.matching.pairs, cert.weight
-            edges, w = _descend(signs, off, edges, w, bound, R_LEVELS, moves_applied)
+        # a tie keeps the r = 2 optimum
+        if abs(cert.weight) < abs(w):
+            edges, w = cert.matching.pairs, cert.weight
+            if cert.bridge:
+                moves_applied[cert.bridge] += 1
 
     if abs(w) <= floor:
         stop_reason = "floor"
@@ -370,12 +386,15 @@ def oracle_min_weight(
 
 
 class Certificate(NamedTuple):
-    """:func:`certify`'s bound and lo; the witness ``matching`` weighs ``weight``."""
+    """:func:`certify`'s bound and lo; the witness ``matching`` weighs ``weight``.
+    ``bridge`` is the r of the exchange that bridged the walk's jump over 0,
+    else 0."""
 
     bound: int
     lo: int
     matching: PerfectMatching
     weight: int
+    bridge: int = 0
 
 
 def certify(g: SignedCompleteGraph) -> Certificate:
@@ -392,8 +411,12 @@ def certify(g: SignedCompleteGraph) -> Certificate:
     so every perfect matching pairs an even number of A's vertices inside A
     and uses a number of class edges with the parity of |A|; weights
     breaking that parity are dropped.  The bound is the smallest |weight|
-    left on the lattice.  The witness is M- when lo > 0, else the walk's
-    first matching of least |weight| from M- to M+.
+    left on the lattice.
+
+    The witness is M- when lo > 0, else the walk's first matching of least
+    |weight| from M- to M+.  When that misses a bound of 0, the walk's first
+    swap jumped from -2 to +2, and :func:`_bridge` looks for one exchange to
+    weight 0 anchored on that swap; its result, when found, is the witness.
     """
     minus_pm = pm_from_sign_max_matching(g, -1)
     lo = sigma_matching(g, minus_pm)
@@ -406,12 +429,43 @@ def certify(g: SignedCompleteGraph) -> Certificate:
     block = _two_block_parity(g)
     bound = min(abs(w) for w in range(lo, hi + 1, 2)
                 if block is None or (half + block[0] * w) // 2 % 2 == block[1])
+    off = _row_offsets(g.order)
     mate, target = _mates(minus_pm.pairs), _mates(plus_pm.pairs)
-    best = None
-    for w in _interpolation_walk(g.signs, _row_offsets(g.order), mate, target):
+    best = jump = None
+    before = mate[:]
+    for w in _interpolation_walk(g.signs, off, mate, target):
         if best is None or abs(w) < abs(best):
-            best, pairs = w, tuple((a, b) for a, b in enumerate(mate) if a < b)
+            best, pairs = w, _pairs_of(mate)
+            if abs(best) == bound:  # no later matching weighs less
+                break
+        if bound == 0 and jump is None:
+            # weights are even and start at lo <= 0, so with no 0 met the
+            # first positive one ends a swap from -2 to +2
+            if w > 0:
+                jump = (_pairs_of(before), _pairs_of(mate))
+            before = mate[:]
+    if jump is not None and best != 0:
+        bridged = _bridge(g.signs, off, *jump)
+        if bridged is not None:
+            return Certificate(0, lo, PerfectMatching(bridged[0]), 0, bridged[1])
     return Certificate(bound, lo, PerfectMatching(pairs), best)
+
+
+def _bridge(signs, off, before, after):
+    """(pairs, r) of a zero-weight matching one exchange from the walk's swap
+    (a, b), (c, d) -> (a, c), (b, d) from weight -2 to +2, or None.  The scan
+    runs from the matching ``before`` the swap anchored on {ab, cd}, then
+    from the one ``after`` it anchored on {ac, bd}, each r = 2, 3, 4 in turn;
+    any move that lowers |weight| 2 reaches 0.
+    """
+    for edges, other, w in ((before, after, -2), (after, before, 2)):
+        other = set(other)
+        anchor = tuple(i for i, e in enumerate(edges) if e not in other)
+        move = _find_improving(signs, off, edges, w, anchor)
+        if move is not None:
+            idxs, added, _ = move
+            return _edges_after(edges, idxs, added), len(idxs)
+    return None
 
 
 def _two_block_parity(g: SignedCompleteGraph) -> tuple[int, int] | None:

@@ -10,7 +10,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 
-from lowpm import PerfectMatching, SignedCompleteGraph, solver
+from lowpm import (
+    PerfectMatching,
+    SignedCompleteGraph,
+    SplitMix64,
+    clique_instance,
+    proposition2_instance,
+    solver,
+)
 from lowpm import sigma_total  # noqa: F401  (re-export convenience)
 
 
@@ -106,9 +113,9 @@ def brute_two_block_parities(g: SignedCompleteGraph) -> list[tuple[int, int]]:
             for sign, cls in ((1, plus), (-1, minus)) if cls == cross]
 
 
-def raw_moves(g: SignedCompleteGraph, m: PerfectMatching, r: int):
+def raw_moves(g: SignedCompleteGraph, m: PerfectMatching, r: int, anchor=()):
     """The local search's own scan at ``r``: (removed_idxs, added, delta)."""
-    return solver._iter_raw_moves(g.signs, solver._row_offsets(g.order), m.pairs, r)
+    return solver._iter_raw_moves(g.signs, solver._row_offsets(g.order), m.pairs, r, anchor)
 
 
 def assert_sound_move(g: SignedCompleteGraph, m: PerfectMatching, move) -> PerfectMatching:
@@ -137,6 +144,56 @@ def crossing_pairings(removed: tuple) -> list[tuple]:
         for p in iter_pairings_desc(verts)
         if not any(e in removed_set for e in p)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The bridge corpus: instances whose interpolation walk jumps over 0, or that
+# sit just below the thm2 threshold.  Signs are set through the closed-form
+# pair index, as in :func:`sigma_by_index`.
+
+
+def with_signs(g: SignedCompleteGraph, changes) -> SignedCompleteGraph:
+    """``g`` with each pair (u, v), u < v, of ``changes`` set to its sign."""
+    order, signs = g.order, list(g.signs)
+    for (u, v), sign in changes.items():
+        signs[u * order - u * (u + 1) // 2 + (v - u - 1)] = sign
+    return SignedCompleteGraph(order, tuple(signs))
+
+
+def flipped_prop2(k: int, seed: int) -> SignedCompleteGraph:
+    """``proposition2_instance(k)`` with one seeded cross edge set to -1:
+    balanced, and its walk from M- to M+ often jumps from -2 to +2."""
+    g = proposition2_instance(k)
+    t = (k * k + k) // 2 + 2  # block A is 0..t-1
+    rng = SplitMix64(seed)
+    u, v = rng.bounded(t), t + rng.bounded(g.order - t)
+    return with_signs(g, {(u, v): -1})
+
+
+def flipped_two_block(order: int, seed: int) -> SignedCompleteGraph:
+    """A seeded partition {A, B} with order/4 <= |A| <= 3*order/4, one sign
+    across and the other inside, and 1-3 seeded sign flips (a pair drawn
+    twice flips back)."""
+    rng = SplitMix64(seed)
+    verts = list(range(order))
+    rng.shuffle(verts)
+    side_a = set(verts[:order // 4 + rng.bounded(order // 2 + 1)])
+    across = 1 if rng.bounded(2) else -1
+    pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    signs = {(u, v): across if (u in side_a) != (v in side_a) else -across for u, v in pairs}
+    for _ in range(1 + rng.bounded(3)):
+        pair = pairs[rng.bounded(len(pairs))]
+        signs[pair] = -signs[pair]
+    return with_signs(SignedCompleteGraph(order, (1,) * len(pairs)), signs)
+
+
+def flipped_clique(n: int, k: int, seed: int) -> SignedCompleteGraph:
+    """``clique_instance(n, k)`` with one seeded clique edge set to -1: its
+    imbalance is thm2_bound - 2 and its minimum 2k - 2."""
+    rng = SplitMix64(seed)
+    u = rng.bounded(3 * n + k - 1)
+    v = u + 1 + rng.bounded(3 * n + k - 1 - u)
+    return with_signs(clique_instance(n, k), {(u, v): -1})
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,16 @@ def test_criterion_3_prop2_k2_exact():
                        "matchings of K_8 (none at 0)")
 
 
+def rows_match_oracle(report, order):
+    """Every row's (min_weight, pass) is (oracle minimum, True), the minimum
+    at most 2, on the instance rebuilt from the row's (s, seed)."""
+    for row in report.rows:
+        exact, _ = oracle_min_weight(random_with_imbalance(order, row["s"], row["seed"]))
+        if exact > 2 or (row["min_weight"], row["pass"]) != (exact, True):
+            return False
+    return True
+
+
 def test_criterion_4_corollary_full_imbalance_band_n2():
     report = verify_theorem2(2, 2, samples=50, seed=4, grid="full")
     imbalances = sorted({row["s"] for row in report.rows})
@@ -137,7 +147,7 @@ def test_criterion_4_corollary_full_imbalance_band_n2():
         report.ok
         and imbalances == list(range(-26, 27, 2))
         and report.tested == 27 * 50
-        and all(row["min_weight"] <= 2 for row in report.rows)
+        and rows_match_oracle(report, 8)
     )
     report_line(4, ok, f"n=2: every even |s|<28, 50 instances each "
                        f"({report.tested} total), oracle min <= 2 throughout")
@@ -151,7 +161,7 @@ def test_criterion_5_theorem2_order12():
         report.ok
         and report.tested >= 500
         and all(abs(row["s"]) < 44 for row in report.rows)
-        and all(row["min_weight"] <= 2 for row in report.rows)
+        and rows_match_oracle(report, 12)
         and elapsed < 600.0
     )
     report_line(5, ok, f"(n,k)=(3,2): {report.tested} sampled order-12 instances "

@@ -107,6 +107,28 @@ class TestEnumeration:
                 assert added == sorted(crossing_pairings(removed))
 
 
+class TestAnchor:
+    """An anchored scan is the full scan cut to the subsets holding the anchor."""
+
+    @pytest.mark.parametrize("anchor", [(0, 3), (4, 1), (2, 5)])
+    def test_anchored_moves_are_the_full_scan_filtered(self, anchor):
+        g = random_with_imbalance(12, 0, 31)
+        m = random_perfect_matching(12, SplitMix64(8))
+        for r in (2, 3, 4):
+            anchored = [(frozenset(idxs), added, delta)
+                        for idxs, added, delta in raw_moves(g, m, r, anchor)]
+            full = [(frozenset(idxs), added, delta) for idxs, added, delta in raw_moves(g, m, r)
+                    if set(anchor) <= set(idxs)]
+            assert sorted(anchored, key=repr) == sorted(full, key=repr)
+            assert len(anchored) == comb(4, r - 2) * crossing_count(r)
+
+    def test_anchor_leads_each_subset_in_combinations_order(self):
+        g = random_with_imbalance(10, 5, 4)
+        m = random_perfect_matching(10, SplitMix64(0))
+        idxs = [i for i, _ in groupby(i for i, _, _ in raw_moves(g, m, 4, (3, 1)))]
+        assert idxs == [(3, 1) + rest for rest in combinations((0, 2, 4), 2)]
+
+
 class TestApply:
     def test_apply_shifts_weight_by_delta(self):
         g = random_with_imbalance(12, 0, 3)

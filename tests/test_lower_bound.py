@@ -2,7 +2,8 @@
 
 ``certify`` is what lets the local search stop above the parity floor and
 what ``verify prop2`` and ``verify tight`` decide by; its witness, from the
-walk, is what takes a stalled search to within 2 of the bound, and the
+walk, is what takes a stalled search to within 2 of the bound, the bridge
+across the walk's jump over 0 takes it onto the bound, and the
 solve's witness is what ``verify thm2`` decides by.  Any
 instance where the bound disagrees with the oracle, or the witness with
 its weight or its guarantee, is kept: it is written to ``tests/artifacts/``
@@ -32,13 +33,20 @@ from lowpm import (
     sigma_matching,
     sign_subgraph,
     verify_prop2,
+    verify_theorem1,
     verify_theorem2,
     verify_tightness,
 )
-from lowpm import blossom, solver
+from lowpm import blossom, solver, verifier
 from lowpm.constructions import _two_block
 
-from helpers import brute_two_block_parities, sigma_by_index
+from helpers import (
+    brute_two_block_parities,
+    flipped_clique,
+    flipped_prop2,
+    flipped_two_block,
+    sigma_by_index,
+)
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
@@ -55,22 +63,20 @@ def assert_bound_matches_oracle(cases, oracle=True):
     """``cases`` yields (name, instance); every certificate must hold.
 
     Its witness weighs ``weight``, read from the signs through the
-    closed-form index, and at least
-    ``bound``; ``lo`` comes from the minus class's matching number; the
-    witness meets the bound when lo > 0 and is within 2 of it otherwise (on
-    it when order/2 is odd).  With ``oracle`` the bound must also equal the
-    oracle minimum.
+    closed-form index, and exactly ``bound``: M- when lo > 0, else the
+    walk's best matching or, past a jump over 0, the bridge's.  ``lo`` comes
+    from the minus class's matching number.  With ``oracle`` the bound must
+    also equal the oracle minimum.
     """
     failures = []
     for name, g in cases:
         cert = certify(g)
         weight = sigma_by_index(g, cert.matching.pairs)
         nu_minus = matching_number(g.order, sign_subgraph(g, -1).edges)
-        ceiling = 0 if g.order // 2 % 2 or cert.lo > 0 else 2
         found = []
         if weight != cert.weight:
             found.append(f"witness weighs {weight}, reported {cert.weight}")
-        if not cert.bound <= abs(weight) <= cert.bound + ceiling:
+        if abs(weight) != cert.bound:
             found.append(f"witness weight {weight} against bound {cert.bound}")
         if cert.lo != g.order // 2 - 2 * nu_minus:
             found.append(f"lo {cert.lo} with nu_minus {nu_minus}")
@@ -229,8 +235,8 @@ def matching_of(mate):
 
 @pytest.fixture
 def walk_only(monkeypatch):
-    """Switch the descent off, so a solve that does not start at the floor
-    returns the walk's best matching as it is."""
+    """Switch the descent and the bridge off, so a solve that does not start
+    at the floor returns the walk's best matching as it is."""
     monkeypatch.setattr(solver, "_find_improving", lambda *args: None)
 
 
@@ -312,12 +318,139 @@ class TestInterpolationWalk:
         assert walked == set(orders)
 
     def test_solver_meets_bound_past_the_oracle(self):
-        # a walk that ends at |weight| 2 above a bound of 0 is polished by
-        # r <= 4 scans, O(order^4) patterns per move: keep the orders small
-        cases = [case for case in flipped_extremal_instances(large=True, seeds=1)
-                 if case[1].order <= 28]
+        # flipped prop2 walks jump over 0; the bridge closes them at orders 104-200
+        cases = list(flipped_extremal_instances(large=True, seeds=1))
         cases += random_instances((20, 24, 28))
+        cases += [(f"flipped_prop2_k{k}_seed{seed}", flipped_prop2(k, seed))
+                  for k in (10, 12, 14) for seed in range(3)]
         assert_solves(cases, oracle=False)
+
+
+def bridge_corpus():
+    """Flipped two-block partitions at orders 8-48, flipped prop2 at orders
+    8-68 and flipped plus-cliques at orders 4-20, as (name, instance)."""
+    for order in range(8, 49, 4):
+        # an order-20 jump state costs ~20 ms more, for its oracle check
+        for seed in range(60 if order == 20 else 240):
+            yield f"two_block_order{order}_seed{seed}", flipped_two_block(order, seed)
+    for k in (2, 4, 6, 8):
+        for seed in range(12):
+            yield f"prop2_k{k}_seed{seed}", flipped_prop2(k, seed)
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for seed in range(2):
+                yield f"clique_n{n}_k{k}_seed{seed}", flipped_clique(n, k, seed)
+
+
+@pytest.fixture
+def bridges(monkeypatch):
+    """The arguments and result of every :func:`solver._bridge` call."""
+    calls = []
+    real = solver._bridge
+
+    def spy(signs, off, before, after):
+        calls.append((before, after, real(signs, off, before, after)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(solver, "_bridge", spy)
+    return calls
+
+
+class TestBridge:
+    def test_corpus_meets_the_bound(self, bridges):
+        # every certificate's witness weighs exactly its bound; a walk that
+        # jumps over 0 gets there through the bridge, and so does its solve
+        failures = []
+        jumps = 0
+        for name, g in bridge_corpus():
+            bridges.clear()
+            cert = certify(g)
+            weight = sigma_by_index(g, cert.matching.pairs)
+            found = []
+            if weight != cert.weight or abs(weight) != cert.bound:
+                found.append(f"witness weighs {weight}, reported {cert.weight}, "
+                             f"bound {cert.bound}")
+            if bridges:
+                jumps += 1
+                if bridges[0][2] is None:
+                    found.append("bridge missed")
+                elif cert.bridge not in (2, 3, 4):
+                    found.append(f"bridged by r = {cert.bridge}")
+                _, report = local_search_min_weight(g, seed=jumps)
+                if report.gap or report.stop_reason == "no_move":
+                    found.append(f"solve stopped {report.stop_reason}, gap {report.gap}")
+            if (bridges or name.startswith("clique")) and g.order <= 20:
+                exact, _ = oracle_min_weight(g)
+                if exact != abs(weight):
+                    found.append(f"oracle {exact}")
+            if found:
+                failures.append(f"{keep_artifact(f'bridge_{name}', g)}: {', '.join(found)}")
+        assert not failures, "; ".join(failures)
+        assert jumps >= 1000
+
+    def test_anchored_on_the_first_swap_over_zero(self, bridges):
+        # an independent replay of the walk names the two matchings either
+        # side of its first sign change, which the bridge must be handed
+        checked = 0
+        for order in (8, 16, 24, 32):
+            for seed in range(40):
+                g = flipped_two_block(order, seed)
+                bridges.clear()
+                certify(g)
+                if not bridges:
+                    continue
+                start = pm_from_sign_max_matching(g, -1)
+                mate = solver._mates(start.pairs)
+                target = solver._mates(pm_from_sign_max_matching(g, 1).pairs)
+                states = [(matching_of(mate).pairs, w) for w in solver._interpolation_walk(
+                    g.signs, solver._row_offsets(g.order), mate, target)]
+                first = next(i for i in range(1, len(states))
+                             if states[i - 1][1] * states[i][1] < 0)
+                before, after, _ = bridges[0]
+                assert (before, after) == (states[first - 1][0], states[first][0]), (order, seed)
+                assert (sigma_by_index(g, before), sigma_by_index(g, after)) == (-2, 2)
+                assert len(set(before) - set(after)) == 2
+                checked += 1
+        assert checked >= 40
+
+
+class TestTheorem1Verdicts:
+    """``verify thm1 --mode solver`` on flipped prop2 instances, balanced at
+    order 8, whose walks often jump over 0."""
+
+    @pytest.fixture(autouse=True)
+    def flipped_instances(self, monkeypatch):
+        monkeypatch.setattr(verifier, "random_with_imbalance",
+                            lambda order, s, seed: flipped_prop2(2, seed))
+
+    def test_bridge_certifies_every_row(self):
+        report = verify_theorem1(2, samples=40, seed=1, mode="solver")
+        assert report.tested == report.passed == 40
+        assert report.stats == {}
+        assert all((row["min_weight"], row["pass"]) == (0, True) for row in report.rows)
+
+    def test_gap_counts_as_uncertified_not_failed(self, walk_only):
+        report = verify_theorem1(2, samples=40, seed=1, mode="solver")
+        blank = [row for row in report.rows if row["min_weight"] == ""]
+        assert report.ok and blank
+        assert report.stats == {"uncertified": len(blank)}
+        assert report.tested == report.passed == 40 - len(blank)
+        assert all(row["pass"] == "" for row in blank)
+        assert all((row["min_weight"], row["pass"]) == (0, True)
+                   for row in report.rows if row["min_weight"] != "")
+        assert "uncertified" in report.to_text() and "uncertified" in report.to_json()
+
+    def test_weight_above_a_met_bound_fails(self, walk_only, monkeypatch):
+        # a bound claimed at 2 makes a witness of |weight| 2 a certified
+        # nonzero minimum: a counterexample, not an uncertified row
+        real = solver.certify
+        monkeypatch.setattr(solver, "certify", lambda g: real(g)._replace(bound=2))
+        report = verify_theorem1(2, samples=40, seed=1, mode="solver")
+        twos = [row for row in report.rows if row["min_weight"] == 2]
+        assert twos and all(row["pass"] is False for row in twos)
+        assert len(report.failures) == len(twos)
+        assert {entry["observed"] for entry in report.failures} <= {
+            "solver_weight 2", "solver_weight -2"}
 
 
 class TestTheorem2Witness:

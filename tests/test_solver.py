@@ -15,11 +15,11 @@ from lowpm import (
 )
 from lowpm import solver
 
-from helpers import raw_moves
+from helpers import flipped_prop2, raw_moves
 
 
 def assert_local_optimum(g, m, w):
-    """Certificate via the search's own scan: no improving move with r <= 4."""
+    """No move of the search's own scan, r <= 4 unanchored, improves on ``m``."""
     for r in (2, 3, 4):
         for _, _, delta in raw_moves(g, m, r):
             assert abs(w + delta) >= abs(w)
@@ -61,9 +61,9 @@ class TestConvergence:
             assert abs(report.final_weight) == expected
 
     def test_agrees_with_oracle_across_orders(self):
-        # empirical completeness of the r<=4 catalog: no counterexample is
-        # known, and any instance that produced one here would be a finding
-        # worth keeping (see the artifacts the acceptance suite writes)
+        # empirical exactness of the descent, bound, walk and bridge: no
+        # counterexample is known, and any instance that produced one here
+        # would be a finding worth keeping (see the artifacts the suite writes)
         from lowpm import pair_count
 
         cases = []
@@ -110,24 +110,30 @@ class TestReport:
         assert d["oracle_checked"] is False
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """(r, anchor) of every exchange scan a solve starts."""
+    calls = []
+    real = solver._iter_raw_moves
+
+    def spy(signs, off, edges, r, anchor):
+        calls.append((r, anchor))
+        return real(signs, off, edges, r, anchor)
+
+    monkeypatch.setattr(solver, "_iter_raw_moves", spy)
+    return calls
+
+
 class TestBoundBeforeWideScan:
     @pytest.mark.parametrize("g", [
         clique_instance(10, 2),
         proposition2_instance(6),
         random_with_imbalance(40, -760, 40),  # a plus class of 10 edges
     ], ids=["clique", "prop2", "sparse_plus"])
-    def test_r2_stall_on_the_bound_starts_no_wider_scan(self, g, monkeypatch):
-        scans = []
-        real = solver._iter_raw_moves
-
-        def spy(signs, off, edges, r):
-            scans.append(r)
-            return real(signs, off, edges, r)
-
-        monkeypatch.setattr(solver, "_iter_raw_moves", spy)
+    def test_r2_stall_on_the_bound_starts_no_wider_scan(self, g, scans):
         m, report = local_search_min_weight(g)
         assert report.stop_reason == "certified"
-        assert scans and set(scans) == {2}
+        assert scans and {r for r, _ in scans} == {2}
         assert sigma_matching(g, m) == report.final_weight
 
     @pytest.mark.parametrize("g,seed,stop", [
@@ -137,19 +143,26 @@ class TestBoundBeforeWideScan:
         (random_with_imbalance(80, -3120, 8000), 0, "certified"),
     ], ids=["walk_to_floor", "plus_matching_exact"])
     def test_r2_stall_above_the_bound_walks_before_any_wider_scan(
-            self, g, seed, stop, monkeypatch):
-        scans = []
-        real = solver._iter_raw_moves
-
-        def spy(signs, off, edges, r):
-            scans.append(r)
-            return real(signs, off, edges, r)
-
-        monkeypatch.setattr(solver, "_iter_raw_moves", spy)
+            self, g, seed, stop, scans):
         m, report = local_search_min_weight(g, seed=seed)
         assert report.stop_reason == stop
-        assert scans and set(scans) == {2}
+        assert scans and {r for r, _ in scans} == {2}
         assert sigma_matching(g, m) == report.final_weight
+
+    def test_every_wider_scan_is_anchored(self, scans):
+        # flipped prop2 instances, whose walks jump over 0, bridge by r = 3
+        # and 4; the solve counts the one bridging exchange under its r
+        bridged = 0
+        for k in (4, 6, 8):
+            for seed in range(6):
+                g = flipped_prop2(k, seed)
+                m, report = local_search_min_weight(g, seed=seed)
+                assert report.gap == 0 and sigma_matching(g, m) == report.final_weight
+                wide_moves = report.moves_applied[3] + report.moves_applied[4]
+                assert wide_moves <= 1
+                bridged += wide_moves
+        wide = [anchor for r, anchor in scans if r >= 3]
+        assert bridged and wide and all(len(anchor) == 2 for anchor in wide)
 
 
 class TestBudgetsAndDeterminism:
@@ -171,7 +184,7 @@ class TestBudgetsAndDeterminism:
         assert (report.stop_reason, report.lower_bound, report.gap) == ("certified", 4, 0)
 
         # held at the parity floor, the bound certifies nothing; the witness
-        # M- (lo = 4, so no walk) and the polish leave the weight at 4
+        # M- (lo = 4, so no walk and no bridge) leaves the weight at 4
         real = solver.certify
         monkeypatch.setattr(solver, "certify", lambda g: real(g)._replace(bound=0))
         m, report = local_search_min_weight(g, seed=0)
