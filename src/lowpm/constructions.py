@@ -119,7 +119,7 @@ def random_with_imbalance(order: int, s: int, seed: int) -> SignedCompleteGraph:
         )
     plus = (total + s) // 2
     signs = [-1] * total
-    for i in SplitMix64(seed).sample_indices(total, plus):
+    for i in SplitMix64(seed)._sample_front(total, plus):  # the sample, unsorted
         signs[i] = 1
     return SignedCompleteGraph(order, tuple(signs))
 

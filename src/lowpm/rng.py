@@ -17,6 +17,8 @@ Derived procedures are likewise pinned:
 * ``shuffle``: Fisher-Yates from the last index down, ``j = bounded(i + 1)``.
 * ``sample_indices(p, c)``: partial Fisher-Yates from the front of
   ``[0, ..., p-1]``; the first ``c`` slots, sorted, are the sample.
+  ``random_with_imbalance`` needs only the set, so it reads the same slots
+  unsorted.
 
 Packed draws: ``random_graph`` (through ``_low_bits``) and
 ``sample_indices`` compute up to ``_CHUNK`` words at once in big-int
@@ -127,6 +129,10 @@ class SplitMix64:
 
     def sample_indices(self, population: int, count: int) -> list[int]:
         """``count`` distinct indices from [0, population), sorted ascending."""
+        return sorted(self._sample_front(population, count))
+
+    def _sample_front(self, population: int, count: int) -> list[int]:
+        """The first ``count`` slots of the partial Fisher-Yates, in slot order."""
         if not 0 <= count <= population:
             raise ValueError(f"cannot sample {count} of {population}")
         pool = list(range(population))
@@ -145,4 +151,4 @@ class SplitMix64:
                 i += 1
             state = (state + taken * _GAMMA) & _MASK64
         self.state = state
-        return sorted(pool[:count])
+        return pool[:count]

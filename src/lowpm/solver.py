@@ -17,14 +17,13 @@ optimal when they do not.  A walk that jumps from -2 to +2 over a bound of
 scans reach r = 3 and 4.
 
 The oracle computes the exact minimum of |weight| over all perfect
-matchings with a bitmask memo of the achievable weights of every vertex set
-left by repeatedly matching the lowest vertex (F(order+1) sets, 10,946 at
-order 20).  It fills the memo bottom-up, lowest vertex descending, with no
-recursion: each set splits its partners by sign through the instance's
-plus-neighbour bitmasks and shifts the OR of each side's child weights
-once.  The witness is reconstructed greedily afterwards and is the
-lexicographically smallest optimal matching, which pins oracle output for a
-given instance.
+matchings by asking, top down, whether a weight is achievable on the vertex
+sets left by repeatedly matching the lowest vertex.  A set's complete
+weights are computed at most once, when a query on it has tried every
+child, as a failed one has; so the floor is typically reached after a few
+dozen sets and, when it is unreachable, after all F(order+1) (10,946 at
+order 20).  Its witness is the lexicographically smallest optimal matching,
+which pins oracle output for a given instance.
 """
 
 from __future__ import annotations
@@ -307,54 +306,34 @@ def oracle_min_weight(
 ) -> tuple[int, PerfectMatching]:
     """Exact minimum of |weight| over all perfect matchings, with witness.
 
-    Matching the lowest vertex again and again leaves vertex sets whose
-    achievable weights are memoized, packed into an int (bit i <=> weight
-    i - order/2 is achievable).  A set with lowest vertex u splits the rest
-    into u's plus and minus neighbours, ORs its children's weights per side
-    and shifts each side once.  Children have a larger lowest vertex, so
-    the sets are filled bottom-up, lowest vertex descending.  The witness
-    is the lexicographically smallest matching attaining the minimum.
+    :func:`_query` asks the whole vertex set for |weight| = floor, floor +
+    2, ...; the first weight achieved is the minimum.  The witness is built
+    pair by pair with the same queries: the lowest vertex takes the first
+    partner whose child still achieves an optimal target, so it is the
+    lexicographically smallest optimal matching.  Two local memos, freed
+    on return, back the queries: ``full`` maps a set to its complete weights
+    and ``yes`` to those already shown achievable, both as ints with bit
+    i <=> weight i - order (a target starts within order/2 of 0 and moves
+    by 1 per pair, so no bit goes negative).
 
     Refuses instances with order above ``order_limit``, itself in 2..24.
-    The default, 24, means 316,234,143,225 matchings and 75,025 memo sets;
-    see :data:`ORACLE_COST`.
+    The default, 24, means 316,234,143,225 matchings and at worst 75,025
+    completed sets; see :data:`ORACLE_COST`.
     """
     refuse_past_oracle_limit(g.order, order_limit)
     order = g.order
-    offset = order // 2
     plus = g.plus_masks
-    full = (1 << order) - 1
-    memo: dict[int, int] = {0: 1 << offset}
-    for u in range(order - 2, -1, -1):
-        # A set with lowest vertex u has lost all u earlier vertices and
-        # ``a`` later ones; each later one went with an earlier one, the
-        # other earlier ones in pairs, so a <= u and u + a is even.
-        ubit = 1 << u
-        above = full ^ ((ubit << 1) - 1)
-        plus_u = plus[u]
-        later = [1 << v for v in range(u + 1, order)]
-        for a in range(u % 2, min(u, order - 2 - u) + 1, 2):
-            for removed in combinations(later, a):
-                rest = above ^ sum(removed)
-                p = rest & plus_u
-                m = rest ^ p
-                hi = lo = 0
-                while p:
-                    vbit = p & -p
-                    p ^= vbit
-                    hi |= memo[rest ^ vbit]
-                while m:
-                    vbit = m & -m
-                    m ^= vbit
-                    lo |= memo[rest ^ vbit]
-                memo[rest | ubit] = (hi << 1) | (lo >> 1)
+    full: dict[int, int] = {0: 1 << order}
+    yes: dict[int, int] = {}
+    everything = (1 << order) - 1
+    for min_abs in range(order // 2 % 2, order // 2 + 1, 2):
+        targets = {t for t in (min_abs, -min_abs)
+                   if _query(everything, order + t, full, yes, plus)}
+        if targets:
+            break
 
-    weights = memo[full]
-    min_abs = min(abs(i - offset) for i in range(2 * offset + 1) if weights >> i & 1)
-
-    targets = {t for t in (min_abs, -min_abs) if (weights >> (offset + t)) & 1}
     pairs: list[Pair] = []
-    mask = full
+    mask = everything
     while mask:
         u = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << u)
@@ -363,13 +342,9 @@ def oracle_min_weight(
             vbit = mm & -mm
             mm ^= vbit
             sub_mask = rest ^ vbit
-            sub_weights = memo[sub_mask]
             s = 1 if plus[u] & vbit else -1
-            new_targets = {
-                t - s
-                for t in targets
-                if abs(t - s) <= offset and (sub_weights >> (offset + t - s)) & 1
-            }
+            new_targets = {t - s for t in targets
+                           if _query(sub_mask, order + t - s, full, yes, plus)}
             if new_targets:
                 pairs.append((u, vbit.bit_length() - 1))
                 mask = sub_mask
@@ -379,6 +354,56 @@ def oracle_min_weight(
             raise AssertionError("witness reconstruction lost feasibility")
 
     return min_abs, PerfectMatching(tuple(pairs))
+
+
+def _query(mask, bit, full, yes, plus) -> bool:
+    """Whether weight ``bit`` - order is achievable on the vertex set
+    ``mask``, read from the memos or else found by :func:`_reach`."""
+    known = full.get(mask)
+    if known is not None:
+        return bool(known >> bit & 1)
+    return bool(yes.get(mask, 0) >> bit & 1) or _reach(mask, bit, full, yes, plus)
+
+
+def _reach(mask, bit, full, yes, plus) -> bool:
+    """:func:`_query` on a set not yet complete.
+
+    Its lowest vertex u tries its partners v ascending; the child
+    ``mask`` - {u, v} needs weight - sign(u, v).  The weights of complete
+    children are ORed per sign as they come.  An incomplete child is asked,
+    through ``yes`` or by recursion, only when the children before it do not
+    already answer, and a failed query completed it.  A success is noted in
+    ``yes``.  When the loop ends every child is complete, so the set's
+    weights, each sign's OR shifted once, go to ``full``: no set is
+    completed twice.
+    """
+    ubit = mask & -mask
+    rest = mask ^ ubit
+    p = rest & plus[ubit.bit_length() - 1]
+    get = full.get
+    hi = lo = 0
+    m = rest
+    while m:
+        vbit = m & -m
+        m ^= vbit
+        child = rest ^ vbit
+        known = get(child)
+        if known is None:
+            if (hi >> (bit - 1) | lo >> (bit + 1)) & 1:
+                break
+            b = bit - 1 if vbit & p else bit + 1
+            if yes.get(child, 0) >> b & 1 or _reach(child, b, full, yes, plus):
+                break
+            known = full[child]
+        if vbit & p:
+            hi |= known
+        else:
+            lo |= known
+    else:
+        weights = full[mask] = (hi << 1) | (lo >> 1)
+        return bool(weights >> bit & 1)
+    yes[mask] = yes.get(mask, 0) | 1 << bit
+    return True
 
 
 # ---------------------------------------------------------------------------

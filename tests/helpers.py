@@ -8,7 +8,7 @@ recursion) so the two sides cannot share a bug by construction.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations, islice
 
 from lowpm import (
     PerfectMatching,
@@ -50,6 +50,77 @@ def brute_min_weight(g: SignedCompleteGraph) -> tuple[int, tuple]:
         if best is None or w < best:
             best, witness = w, pairs
     return best, witness
+
+
+def reference_oracle(g: SignedCompleteGraph) -> tuple[int, tuple]:
+    """The exact minimum |weight| and its lexicographically smallest witness
+    from the complete weight memo, filled bottom-up with no query or recursion.
+
+    Matching the lowest vertex again and again leaves F(order+1) vertex
+    sets.  Each one's achievable weights are an int (bit i <=> weight
+    i - order/2): its lowest vertex's partners split by sign, the children's
+    weights ORed per side and each side shifted once.  Children have a
+    larger lowest vertex, so the sets are filled lowest vertex descending.
+    The witness is then built greedily, keeping every optimal target the
+    chosen pairs still allow.
+    """
+    order = g.order
+    offset = order // 2
+    plus = g.plus_masks
+    full = (1 << order) - 1
+    memo = {0: 1 << offset}
+    for u in range(order - 2, -1, -1):
+        # A set with lowest vertex u has lost all u earlier vertices and
+        # ``a`` later ones; each later one went with an earlier one, the
+        # other earlier ones in pairs, so a <= u and u + a is even.
+        ubit = 1 << u
+        above = full ^ ((ubit << 1) - 1)
+        plus_u = plus[u]
+        later = [1 << v for v in range(u + 1, order)]
+        for a in range(u % 2, min(u, order - 2 - u) + 1, 2):
+            for removed in combinations(later, a):
+                rest = above ^ sum(removed)
+                p = rest & plus_u
+                m = rest ^ p
+                hi = lo = 0
+                while p:
+                    vbit = p & -p
+                    p ^= vbit
+                    hi |= memo[rest ^ vbit]
+                while m:
+                    vbit = m & -m
+                    m ^= vbit
+                    lo |= memo[rest ^ vbit]
+                memo[rest | ubit] = (hi << 1) | (lo >> 1)
+
+    weights = memo[full]
+    min_abs = min(abs(i - offset) for i in range(2 * offset + 1) if weights >> i & 1)
+    targets = {t for t in (min_abs, -min_abs) if (weights >> (offset + t)) & 1}
+    pairs = []
+    mask = full
+    while mask:
+        u = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << u)
+        mm = rest
+        while mm:
+            vbit = mm & -mm
+            mm ^= vbit
+            sub_mask = rest ^ vbit
+            sub_weights = memo[sub_mask]
+            s = 1 if plus[u] & vbit else -1
+            new_targets = {
+                t - s
+                for t in targets
+                if abs(t - s) <= offset and (sub_weights >> (offset + t - s)) & 1
+            }
+            if new_targets:
+                pairs.append((u, vbit.bit_length() - 1))
+                mask = sub_mask
+                targets = new_targets
+                break
+        else:
+            raise AssertionError("witness reconstruction lost feasibility")
+    return min_abs, tuple(pairs)
 
 
 def brute_matching_number(order: int, edges) -> int:

@@ -21,9 +21,10 @@ from lowpm import (
     verify_theorem2,
     verify_tightness,
 )
+from lowpm import solver
 from lowpm.solver import _pairings
 
-from helpers import brute_min_weight, brute_perfect_matchings
+from helpers import brute_min_weight, brute_perfect_matchings, flipped_prop2, reference_oracle
 
 
 def all_plus(order):
@@ -86,7 +87,7 @@ class TestOracle:
         for signs in product((-1, 1), repeat=15):
             g = SignedCompleteGraph(6, signs)
             w, witness = oracle_min_weight(g)
-            assert (w, witness.pairs) == brute_min_weight(g)
+            assert (w, witness.pairs) == brute_min_weight(g) == reference_oracle(g)
 
     def test_order_12_against_brute_force(self):
         parity = pair_count(12) % 2
@@ -106,14 +107,16 @@ class TestOracle:
             assert w == certify(g).bound
 
     def test_memo_freed_on_return(self):
-        g = random_with_imbalance(12, 0, 5)
-        gc.collect()
-        gc.disable()
-        try:
-            oracle_min_weight(g)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        # balanced, then refuted at the floor (every matching weighs >= 4), so
+        # that ``yes`` is filled in one call and every set completed in the other
+        for g in (random_with_imbalance(12, 0, 5), clique_instance(3, 2)):
+            gc.collect()
+            gc.disable()
+            try:
+                oracle_min_weight(g)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     @pytest.mark.parametrize("order", [6, 8, 10])
     def test_random_instances_against_brute_force(self, order):
@@ -198,3 +201,90 @@ class TestOracle:
             abs(sigma_matching(g, PerfectMatching(p))) for p in brute_perfect_matchings(8)
         }
         assert w == min(weights)
+
+
+class TestAgainstRetiredDP:
+    """The top-down queries return exactly the (min, witness) of the
+    bottom-up fill of every set's weights, ``helpers.reference_oracle``
+    (every K6 labeling is compared in ``TestOracle``)."""
+
+    def check(self, g):
+        w, witness = oracle_min_weight(g)
+        assert (w, witness.pairs) == reference_oracle(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_clique_family(self, n):
+        for k in range(1, n + 1):
+            self.check(clique_instance(n, k))
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_prop2(self, k):
+        self.check(proposition2_instance(k))
+
+    @pytest.mark.parametrize("k,seeds", [(2, range(12)), (4, range(4))])
+    def test_flipped_prop2(self, k, seeds):
+        for seed in seeds:
+            self.check(flipped_prop2(k, seed))
+
+    @pytest.mark.parametrize("order", [8, 10, 12, 14, 16, 18, 20])
+    def test_random_across_the_imbalance_band(self, order):
+        total = pair_count(order)
+        # 9 imbalances from -total to total, each with the parity of total
+        for i, s in enumerate(-total + 2 * round(j * total / 8) for j in range(9)):
+            for seed in (i, 100 + i):
+                self.check(random_with_imbalance(order, s, seed))
+
+
+class TestQueries:
+    """``solver._query`` on shared memos, as one oracle call uses them,
+    answers every weight of the whole vertex set exactly, whatever the order
+    of the questions."""
+
+    @pytest.mark.parametrize("order,s,seed", [(6, 5, 2), (6, -3, 5), (6, -1, 11), (8, 0, 3),
+                                              (8, 10, 4), (10, -5, 1), (10, 15, 2), (12, 0, 7)])
+    def test_every_weight_in_any_order(self, order, s, seed):
+        g = random_with_imbalance(order, s, seed)
+        weights = {sum(g.sign(a, b) for a, b in pairs) for pairs in brute_perfect_matchings(order)}
+        half, everything = order // 2, (1 << order) - 1
+        lattice = range(-half, half + 1, 2)  # every weight has the parity of half
+        up, down = [w for w in lattice if w >= 0], [w for w in reversed(lattice) if w < 0]
+        # from the middle out, so that successes come first and fill ``yes``
+        for asked in (up + down, down + up, lattice):
+            full, yes = {0: 1 << order}, {}  # bit i <=> weight i - order
+            answers = {w for w in asked
+                       if solver._query(everything, order + w, full, yes, g.plus_masks)}
+            assert answers == weights
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """Every vertex set whose weights ``solver._reach`` completed, in order;
+    a call on a set already complete fails the test."""
+    done = []
+    reach = solver._reach
+
+    def spy(mask, bit, full, yes, plus):
+        assert mask not in full, f"query on the complete set {mask:b}"
+        found = reach(mask, bit, full, yes, plus)
+        if mask in full:
+            done.append(mask)
+        return found
+
+    monkeypatch.setattr(solver, "_reach", spy)
+    return done
+
+
+class TestWork:
+    """What a call costs, pinned by the sets it completes, not by a clock."""
+
+    def test_balanced_order_20_completes_few_sets(self, completions):
+        # the instances of `verify thm1 --n 5 --seed 1000`; completing every
+        # set would take 20 x 10,946
+        report = verify_theorem1(5, samples=20, seed=1000, mode="oracle")
+        assert report.passed == 20
+        assert 0 < len(completions) < 1000
+
+    def test_unreachable_floor_completes_each_set_once(self, completions):
+        # every perfect matching weighs >= 4, so the floor query fails everywhere
+        assert oracle_min_weight(clique_instance(5, 2))[0] == 4
+        assert len(set(completions)) == len(completions) <= 10946
