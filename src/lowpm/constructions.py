@@ -110,6 +110,8 @@ def random_with_imbalance(order: int, s: int, seed: int) -> SignedCompleteGraph:
     Fisher-Yates from the pinned SplitMix64 stream.  ``s`` must satisfy
     |s| <= C(order,2) and have the same parity as C(order,2).
     """
+    if order < 2 or order % 2:  # before s, whose parity is read off the order
+        raise ParameterError(f"order must be an even integer >= 2, got {order}")
     total = pair_count(order)
     if abs(s) > total:
         raise ParameterError(f"|s|={abs(s)} exceeds C({order},2)={total}")

@@ -411,12 +411,13 @@ def _reach(mask, bit, full, yes, plus) -> bool:
 
 
 class Certificate(NamedTuple):
-    """:func:`certify`'s bound and lo; the witness ``matching`` weighs ``weight``.
-    ``bridge`` is the r of the exchange that bridged the walk's jump over 0,
-    else 0."""
+    """:func:`certify`'s bound, lo and hi (None when M+ is not built); the
+    witness ``matching`` weighs ``weight``.  ``bridge`` is the r of the
+    exchange that bridged the walk's jump over 0, else 0."""
 
     bound: int
     lo: int
+    hi: int | None
     matching: PerfectMatching
     weight: int
     bridge: int = 0
@@ -430,13 +431,13 @@ def certify(g: SignedCompleteGraph) -> Certificate:
     most 2*nu_plus - order/2.  Every weight thus lies on the lattice
     lo, lo+2, ..., hi, where lo and hi are the weights of M- and M+, the
     minus and plus classes' maximum matchings completed by
-    :func:`pm_from_sign_max_matching`; M+ is only built when lo <= 0.  If
-    the signs show one class to be the complete bipartite graph across a
-    partition {A, B} (the two-block family), the other class is two cliques,
-    so every perfect matching pairs an even number of A's vertices inside A
-    and uses a number of class edges with the parity of |A|; weights
-    breaking that parity are dropped.  The bound is the smallest |weight|
-    left on the lattice.
+    :func:`pm_from_sign_max_matching`; M+ is only built when lo <= 0, and
+    ``hi`` is None otherwise.  If the signs show one class to be the
+    complete bipartite graph across a partition {A, B} (the two-block
+    family), the other class is two cliques, so every perfect matching pairs
+    an even number of A's vertices inside A and uses a number of class edges
+    with the parity of |A|; weights breaking that parity are dropped.  The
+    bound is the smallest |weight| left on the lattice.
 
     The witness is M- when lo > 0, else the walk's first matching of least
     |weight| from M- to M+.  When that misses a bound of 0, the walk's first
@@ -446,7 +447,7 @@ def certify(g: SignedCompleteGraph) -> Certificate:
     minus_pm = pm_from_sign_max_matching(g, -1)
     lo = sigma_matching(g, minus_pm)
     if lo > 0:  # M- attains lo, so lo meets every parity step
-        return Certificate(lo, lo, minus_pm, lo)
+        return Certificate(lo, lo, None, minus_pm, lo)
     plus_pm = pm_from_sign_max_matching(g, 1)
     hi = sigma_matching(g, plus_pm)
     half = g.order // 2
@@ -472,8 +473,8 @@ def certify(g: SignedCompleteGraph) -> Certificate:
     if jump is not None and best != 0:
         bridged = _bridge(g.signs, off, *jump)
         if bridged is not None:
-            return Certificate(0, lo, PerfectMatching(bridged[0]), 0, bridged[1])
-    return Certificate(bound, lo, PerfectMatching(pairs), best)
+            return Certificate(0, lo, hi, PerfectMatching(bridged[0]), 0, bridged[1])
+    return Certificate(bound, lo, hi, PerfectMatching(pairs), best)
 
 
 def _bridge(signs, off, before, after):

@@ -60,6 +60,12 @@ class TestGen:
         assert code == 2
         assert "parity" in err
 
+    def test_odd_order_exit_2_names_the_order(self, capsys):
+        code, out, err = run(capsys, "gen", "random", "--order", "3", "--imbalance", "0")
+        assert (code, out) == (2, "")
+        assert "order must be an even integer >= 2, got 3" in err
+        assert "imbalance" not in err
+
     def test_bad_parameter_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "clique", "--n", "2", "--k", "5")
         assert code == 2
@@ -300,15 +306,13 @@ class TestVerify:
         assert "solver_mismatches 1" in out.splitlines()
 
     def test_thm2_counterexample_exits_1(self, capsys, monkeypatch):
-        real = verifier.local_search_min_weight
+        real = verifier.certify
 
-        def heavy(g, seed):
+        def heavy(g):
             # a proven minimum of 4, above k = 2's threshold of 2
-            matching, report = real(g, seed=seed)
-            report.final_weight = report.lower_bound = 4
-            return matching, report
+            return real(g)._replace(weight=4, bound=4)
 
-        monkeypatch.setattr(verifier, "local_search_min_weight", heavy)
+        monkeypatch.setattr(verifier, "certify", heavy)
         argv = ("verify", "thm2", "--n", "2", "--k", "2", "--samples", "1", "--seed", "5")
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 1
@@ -508,6 +512,27 @@ class TestUsage:
             capture_output=True, text=True, env=module_env(), timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
+
+    def test_runtime_imports_only_the_standard_library(self):
+        # -S skips site hooks, which may import third-party modules of their own;
+        # __main__ and multiprocessing's __mp_main__ name the running script
+        script = """if True:
+            import contextlib, io, sys
+            import lowpm
+            from lowpm import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = (cli.main(["verify", "thm2", "--n", "2", "--k", "2"]),
+                         cli.main(["sweep", "tight", "--n-max", "3", "--k-max", "3",
+                                   "--jobs", "2"]))
+            tops = {name.partition(".")[0] for name in sys.modules}
+            print(codes, sorted(tops - set(sys.stdlib_module_names)
+                                - {"lowpm", "__main__", "__mp_main__"}))
+        """
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "(0, 0) []\n"
 
     def test_python_dash_m(self, tmp_path):
         env = module_env()

@@ -213,6 +213,13 @@ class TestRandomWithImbalance:
         with pytest.raises(ParameterError):
             random_with_imbalance(8, 30, 7)
 
+    @pytest.mark.parametrize("order,s", [(7, 0), (3, 0), (3, 1), (0, 0), (-2, 0)])
+    def test_bad_order_is_named_before_the_imbalance(self, order, s):
+        # C(7,2) = 21 is odd, so s = 0 would otherwise be blamed for the order
+        with pytest.raises(ParameterError) as info:
+            random_with_imbalance(order, s, 1)
+        assert str(info.value) == f"order must be an even integer >= 2, got {order}"
+
     def test_exact_imbalance_sweep(self):
         for s in range(-28, 29, 2):
             assert sigma_total(random_with_imbalance(8, s, 5)) == s

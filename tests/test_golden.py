@@ -52,7 +52,7 @@ def test_stdout_digest(argv):
 
 
 # thm2's JSON report has no rows; these pin its rows' minimum weights and verdicts,
-# which the solve's witness decides at every order.
+# which certify's witness decides at every order.
 THM2_ROWS_GOLDEN = {
     ("verify", "thm2", "--n", "5", "--k", "2", "--samples", "20", "--seed", "1000",
      "--format", "csv"):

@@ -3,8 +3,8 @@
 ``certify`` is what lets the local search stop above the parity floor and
 what ``verify prop2`` and ``verify tight`` decide by; its witness, from the
 walk, is what takes a stalled search to within 2 of the bound, the bridge
-across the walk's jump over 0 takes it onto the bound, and the
-solve's witness is what ``verify thm2`` decides by.  Any
+across the walk's jump over 0 takes it onto the bound, and it is what
+``verify thm2`` decides by.  Any
 instance where the bound disagrees with the oracle, or the witness with
 its weight or its guarantee, is kept: it is written to ``tests/artifacts/``
 as a named ``.sk`` file and the test fails.  A bound above the oracle is
@@ -65,8 +65,9 @@ def assert_bound_matches_oracle(cases, oracle=True):
     Its witness weighs ``weight``, read from the signs through the
     closed-form index, and exactly ``bound``: M- when lo > 0, else the
     walk's best matching or, past a jump over 0, the bridge's.  ``lo`` comes
-    from the minus class's matching number.  With ``oracle`` the bound must
-    also equal the oracle minimum.
+    from the minus class's matching number and ``hi``, None when lo > 0,
+    from the plus class's.  With ``oracle`` the bound must also equal the
+    oracle minimum.
     """
     failures = []
     for name, g in cases:
@@ -80,6 +81,9 @@ def assert_bound_matches_oracle(cases, oracle=True):
             found.append(f"witness weight {weight} against bound {cert.bound}")
         if cert.lo != g.order // 2 - 2 * nu_minus:
             found.append(f"lo {cert.lo} with nu_minus {nu_minus}")
+        nu_plus = matching_number(g.order, sign_subgraph(g, 1).edges)
+        if cert.hi != (None if cert.lo > 0 else 2 * nu_plus - g.order // 2):
+            found.append(f"hi {cert.hi} with lo {cert.lo}, nu_plus {nu_plus}")
         if oracle:
             exact, _ = oracle_min_weight(g)
             if cert.bound != exact:

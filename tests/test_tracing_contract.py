@@ -50,11 +50,12 @@ def test_traced_solve_and_verify(tracing, tmp_path):
 
 
 def test_certify_adds_no_signmatch_span(tracing):
-    # certify builds M- and M+ through pm_from_sign_max_matching too, but under
+    # certify builds M- and M+ through pm_from_sign_max_matching, but under
     # solver's name, which the tracer leaves alone: solver.signmatch counts
-    # only the verifier's constructive route, one call per thm2 instance.
-    # blossom counts those 3 and the certify of each solve that stalls above
-    # the floor: s = 26 (lo = 2 > 0, M- only) and s = -26 (M- and M+)
+    # only calls made under the verifier's name, and thm2 makes none, as it
+    # reads its constructive weight off the certificate.  blossom counts the
+    # one certify per thm2 instance: s = 0 and s = -26 (lo <= 0, M- and M+)
+    # and s = 26 (lo > 0, M- only)
     tracer = tracing.Tracer()
     tracer.reset_counts()
     calls = []
@@ -65,6 +66,6 @@ def test_certify_adds_no_signmatch_span(tracing):
             assert cli.main(argv) == 0
             calls.append({layer: n for layer, (_, n) in tracer.layer_times(first).items()})
     thm2, tight = calls
-    assert (thm2["solver.signmatch"], thm2["blossom"]) == (3, 6)
+    assert (thm2["solver.signmatch"], thm2["blossom"]) == (0, 5)
     # the plus clique has lo = 2k > 0: one blossom call for M-, no M+
     assert (tight["solver.signmatch"], tight["blossom"]) == (0, 1)

@@ -6,11 +6,12 @@ import pytest
 
 from lowpm import (
     ParameterError,
-    SolveReport,
     VerifyReport,
+    certify,
     clique_instance,
     pair_count,
     parse_instance,
+    pm_from_sign_max_matching,
     proposition2_instance,
     serialize_instance,
     random_with_imbalance,
@@ -20,7 +21,9 @@ from lowpm import (
     verify_theorem2,
     verify_tightness,
 )
-from lowpm import local_search_min_weight, verifier
+from lowpm import verifier
+
+from helpers import sigma_by_index
 
 
 def strip_elapsed(report_json: str) -> dict:
@@ -126,19 +129,18 @@ class TestTheorem2:
             verify_theorem2(2, 2, grid="dense")
 
     @staticmethod
-    def solved_at(weight, bound):
-        """A local search whose report ends at ``weight`` above ``bound``."""
-        def solve(g, seed):
-            matching, _ = local_search_min_weight(g, seed=seed)
-            return matching, SolveReport(initial_weight=weight, final_weight=weight,
-                                         moves_applied={}, stop_reason="certified",
-                                         lower_bound=bound)
+    def certified_at(weight, bound):
+        """A certify whose witness weighs ``weight`` against ``bound``."""
+        real = verifier.certify
 
-        return solve
+        def fake(g):
+            return real(g)._replace(bound=bound, weight=weight)
+
+        return fake
 
     def test_certified_witness_above_the_threshold_fails_replayably(self, monkeypatch):
         # k = 3: the threshold is 4, so a proven minimum of 6 is a counterexample
-        monkeypatch.setattr(verifier, "local_search_min_weight", self.solved_at(-6, 6))
+        monkeypatch.setattr(verifier, "certify", self.certified_at(-6, 6))
         report = verify_theorem2(2, 3, samples=3, seed=4)
         assert report.tested == 3 and report.passed == 0
         for entry, row in zip(report.failures, report.rows):
@@ -149,11 +151,48 @@ class TestTheorem2:
 
     def test_light_witness_above_its_bound_passes_with_no_minimum(self, monkeypatch):
         # a gap > 0 proves no minimum, but a witness of |weight| 2 proves the statement
-        monkeypatch.setattr(verifier, "local_search_min_weight", self.solved_at(2, 0))
+        monkeypatch.setattr(verifier, "certify", self.certified_at(2, 0))
         report = verify_theorem2(3, 2, samples=4, seed=1)
         assert report.ok and report.passed == 4
         assert [row["min_weight"] for row in report.rows] == [""] * 4
         assert all(row["pass"] for row in report.rows)
+
+    def test_one_certify_per_instance_and_no_other_route(self, monkeypatch):
+        real, seen = verifier.certify, []
+
+        def spy(g):
+            seen.append(g)
+            return real(g)
+
+        def elsewhere(*args, **kwargs):
+            raise AssertionError("thm2 is decided by its certificate alone")
+
+        monkeypatch.setattr(verifier, "certify", spy)
+        for name in ("local_search_min_weight", "pm_from_sign_max_matching", "oracle_min_weight"):
+            monkeypatch.setattr(verifier, name, elsewhere)
+        report = verify_theorem2(2, 2, samples=2, seed=1, grid="full")
+        assert len(seen) == report.tested == 54
+        assert seen == [random_with_imbalance(8, row["s"], row["seed"]) for row in report.rows]
+
+    @pytest.mark.parametrize("n,k,grid,samples", [
+        (1, 2, "full", 3), (1, 3, "full", 3), (2, 2, "full", 3), (2, 4, "full", 3),
+        (3, 2, "sampled", 12), (5, 3, "sampled", 12), (8, 5, "sampled", 12),
+        (10, 2, "sampled", 12),
+    ])
+    def test_constructive_weight_equals_a_fresh_minority_matching(self, n, k, grid, samples):
+        # the minority sign's completed maximum matching, built apart from certify
+        report = verify_theorem2(n, k, samples=samples, seed=n + k, grid=grid)
+        worst = 0
+        for row in report.rows:
+            g = random_with_imbalance(4 * n, row["s"], row["seed"])
+            cert = certify(g)
+            if row["s"] <= 0:  # M+ is built: Erdos-Gallai puts lo <= 0
+                assert cert.hi is not None
+            minority = -1 if row["s"] >= 0 else 1
+            weight = sigma_by_index(g, pm_from_sign_max_matching(g, minority).pairs)
+            assert weight == (cert.lo if minority < 0 else cert.hi)
+            worst = max(worst, abs(weight))
+        assert report.stats["constructive_max_abs_weight"] == worst
 
 
 class TestTightness:
