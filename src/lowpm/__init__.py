@@ -43,7 +43,7 @@ from .core import (
 )
 from .rng import SplitMix64
 from .solver import (
-    DEFAULT_ORACLE_LIMIT,
+    ORACLE_LIMIT,
     OracleLimitError,
     SolveReport,
     certify,
@@ -64,11 +64,11 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ORACLE_LIMIT",
     "InstanceFormatError",
     "InvalidPairError",
     "LowpmError",
     "MatchingError",
+    "ORACLE_LIMIT",
     "OracleLimitError",
     "Pair",
     "ParameterError",

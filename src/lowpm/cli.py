@@ -30,12 +30,14 @@ from .core import (
     serialize_matching,
 )
 from .solver import (
-    DEFAULT_ORACLE_LIMIT,
+    ORACLE_COST,
+    ORACLE_LIMIT,
+    OracleLimitError,
     local_search_min_weight,
     oracle_min_weight,
-    refuse_past_oracle_limit,
 )
 from .verifier import (
+    VERIFY_MODES,
     VerifyReport,
     csv_text,
     verify_erdos_gallai,
@@ -83,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v_thm1.add_argument("--n", type=int, required=True)
     v_thm1.add_argument("--samples", type=int, default=100)
     v_thm1.add_argument("--seed", type=int, default=0)
-    v_thm1.add_argument("--mode", choices=("oracle", "solver", "both"), default="both")
+    v_thm1.add_argument("--mode", choices=VERIFY_MODES, default="both")
     v_thm1.add_argument("--exhaustive", action="store_true",
                         help="all 20 balanced sign vectors (n=1 only)")
 
@@ -118,15 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=1)
 
     def oracle_limit(text: str) -> int:
-        if int(text) > DEFAULT_ORACLE_LIMIT:
-            raise argparse.ArgumentTypeError(f"the maximum is {DEFAULT_ORACLE_LIMIT}, got {text}")
+        if int(text) > ORACLE_LIMIT:
+            raise argparse.ArgumentTypeError(f"the maximum is {ORACLE_LIMIT}, got {text}")
         if int(text) < 2:  # the smallest instance order
             raise argparse.ArgumentTypeError(f"the minimum is 2, got {text}")
         return int(text)
 
     # thm2 and tight check the flag but never call the oracle; the benchmark still passes it
     for p in (solve, oracle, v_thm1, v_thm2, v_tight):
-        p.add_argument("--oracle-limit", type=oracle_limit, default=DEFAULT_ORACLE_LIMIT)
+        p.add_argument("--oracle-limit", type=oracle_limit, default=ORACLE_LIMIT)
     for p in (solve, oracle):
         p.add_argument("--format", choices=("text", "json"), default="text")
     for p in (v_thm1, v_prop2, v_thm2, v_tight, v_eg):
@@ -160,6 +162,19 @@ def _write_output(text: str, path: str | None) -> None:
             raise LowpmError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _refuse_past_oracle_limit(order: int, limit: int, other_way: str = "") -> None:
+    """Refuse an order past ``limit`` (argparse keeps it in 2..24) with one
+    line naming the ways out: --oracle-limit up to 24, then ``other_way``."""
+    if order <= limit:
+        return
+    if order <= ORACLE_LIMIT:
+        ways = "; raise the limit (--oracle-limit)" + (f" or {other_way}" if other_way else "")
+    else:
+        ways = (f" and the most --oracle-limit accepts, {ORACLE_LIMIT}"
+                + (f"; {other_way}" if other_way else ""))
+    raise OracleLimitError(f"order {order} exceeds the oracle limit {limit}{ways} ({ORACLE_COST})")
+
+
 def _cmd_gen(args) -> int:
     if args.family == "prop2":
         g = proposition2_instance(args.k)
@@ -175,18 +190,15 @@ def _cmd_solve(args) -> int:
     g = _read_instance(args.instance)
     if args.check_oracle:
         # refuse before the search, which can take far longer than refusing
-        refuse_past_oracle_limit(g.order, args.oracle_limit)
+        _refuse_past_oracle_limit(g.order, args.oracle_limit)
     matching, report = local_search_min_weight(g, seed=args.seed)
-    exit_code = 0
-    if args.check_oracle:
-        oracle_min, _ = oracle_min_weight(g, args.oracle_limit)
-        report.oracle_checked = True
-        report.oracle_min_weight = oracle_min
-        if abs(report.final_weight) != oracle_min:
-            exit_code = 1
+    oracle_min = oracle_min_weight(g)[0] if args.check_oracle else None
+    agree = oracle_min is None or abs(report.final_weight) == oracle_min
 
     if args.format == "json":
         payload = report.to_dict()
+        payload["oracle_checked"] = args.check_oracle
+        payload["oracle_min_weight"] = oracle_min
         payload["matching"] = serialize_matching(matching.pairs)
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
@@ -197,17 +209,17 @@ def _cmd_solve(args) -> int:
         print(f"stop_reason {report.stop_reason}")
         print(f"lower_bound {report.lower_bound}")
         print(f"gap {report.gap}")
-        if report.oracle_checked:
-            print(f"oracle_min_weight {report.oracle_min_weight}")
-            agree = abs(report.final_weight) == report.oracle_min_weight
+        if args.check_oracle:
+            print(f"oracle_min_weight {oracle_min}")
             print(f"oracle_agreement {str(agree).lower()}")
         print(serialize_matching(matching.pairs))
-    return exit_code
+    return 0 if agree else 1
 
 
 def _cmd_oracle(args) -> int:
     g = _read_instance(args.instance)
-    min_weight, witness = oracle_min_weight(g, args.oracle_limit)
+    _refuse_past_oracle_limit(g.order, args.oracle_limit)
+    min_weight, witness = oracle_min_weight(g)
     if args.format == "json":
         print(json.dumps(
             {"min_weight": min_weight, "witness": serialize_matching(witness.pairs)},
@@ -231,9 +243,12 @@ def _emit_report(report: VerifyReport, fmt: str) -> int:
 
 def _cmd_verify(args) -> int:
     if args.statement == "thm1":
+        if args.mode != "solver":
+            _refuse_past_oracle_limit(4 * args.n, args.oracle_limit,
+                                      "check with the solver alone (--mode solver)")
         report = verify_theorem1(
             args.n, samples=args.samples, seed=args.seed, mode=args.mode,
-            exhaustive=args.exhaustive, oracle_limit=args.oracle_limit,
+            exhaustive=args.exhaustive,
         )
     elif args.statement == "prop2":
         report = verify_prop2(args.k)
@@ -270,7 +285,7 @@ def _cmd_sweep(args) -> int:
     if not jobs:
         raise LowpmError("empty sweep grid: check --n-min/--n-max/--k-min/--k-max")
 
-    workers = min(args.jobs, len(jobs))
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -45,7 +45,7 @@ from .core import (
 )
 from .rng import SplitMix64
 
-DEFAULT_ORACLE_LIMIT = 24
+ORACLE_LIMIT = 24
 ORACLE_COST = ("one oracle call takes ~30 ms at order 20 and ~0.25 s at order 24, "
                "growing ~3x per two vertices")
 
@@ -54,22 +54,6 @@ R_LEVELS = (2, 3, 4)
 
 class OracleLimitError(ParameterError):
     """Instance order exceeds the enumeration limit of the oracle."""
-
-
-def refuse_past_oracle_limit(order: int, limit: int, other_way: str = "") -> None:
-    """Raise :class:`OracleLimitError` past ``limit``: the one wording of the
-    refusal, naming --oracle-limit up to the default, then ``other_way``.
-    Every oracle limit is read here, so one outside 2..24 is refused here."""
-    if not 2 <= limit <= DEFAULT_ORACLE_LIMIT:
-        raise ParameterError(f"oracle limit must be between 2 and {DEFAULT_ORACLE_LIMIT}, got {limit}")
-    if order <= limit:
-        return
-    if order <= DEFAULT_ORACLE_LIMIT:
-        ways = "; raise the limit (--oracle-limit)" + (f" or {other_way}" if other_way else "")
-    else:
-        ways = (f" and the most --oracle-limit accepts, {DEFAULT_ORACLE_LIMIT}"
-                + (f"; {other_way}" if other_way else ""))
-    raise OracleLimitError(f"order {order} exceeds the oracle limit {limit}{ways} ({ORACLE_COST})")
 
 
 @dataclass
@@ -91,8 +75,6 @@ class SolveReport:
     moves_applied: dict[int, int]
     stop_reason: str
     lower_bound: int
-    oracle_checked: bool = False
-    oracle_min_weight: int | None = None
     elapsed_ms: int = 0
     # read by perfbench/tracing.py; always 0, as the search has no plateau walk or restarts
     sideways_moves = 0
@@ -110,8 +92,6 @@ class SolveReport:
             "stop_reason": self.stop_reason,
             "lower_bound": self.lower_bound,
             "gap": self.gap,
-            "oracle_checked": self.oracle_checked,
-            "oracle_min_weight": self.oracle_min_weight,
             "elapsed_ms": self.elapsed_ms,
         }
 
@@ -301,9 +281,7 @@ def local_search_min_weight(
 # Exact oracle
 
 
-def oracle_min_weight(
-    g: SignedCompleteGraph, order_limit: int = DEFAULT_ORACLE_LIMIT
-) -> tuple[int, PerfectMatching]:
+def oracle_min_weight(g: SignedCompleteGraph) -> tuple[int, PerfectMatching]:
     """Exact minimum of |weight| over all perfect matchings, with witness.
 
     :func:`_query` asks the whole vertex set for |weight| = floor, floor +
@@ -316,12 +294,14 @@ def oracle_min_weight(
     i <=> weight i - order (a target starts within order/2 of 0 and moves
     by 1 per pair, so no bit goes negative).
 
-    Refuses instances with order above ``order_limit``, itself in 2..24.
-    The default, 24, means 316,234,143,225 matchings and at worst 75,025
-    completed sets; see :data:`ORACLE_COST`.
+    Refuses instances with order above :data:`ORACLE_LIMIT`, 24: that is
+    316,234,143,225 matchings and at worst 75,025 completed sets; see
+    :data:`ORACLE_COST`.
     """
-    refuse_past_oracle_limit(g.order, order_limit)
     order = g.order
+    if order > ORACLE_LIMIT:
+        raise OracleLimitError(
+            f"order {order} exceeds the oracle limit {ORACLE_LIMIT} ({ORACLE_COST})")
     plus = g.plus_masks
     full: dict[int, int] = {0: 1 << order}
     yes: dict[int, int] = {}

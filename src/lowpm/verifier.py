@@ -44,12 +44,10 @@ from .core import (
 )
 from .rng import SplitMix64
 from .solver import (
-    DEFAULT_ORACLE_LIMIT,
     certify,
     local_search_min_weight,
     oracle_min_weight,
     pm_from_sign_max_matching,  # read by perfbench/tracing.py, which wraps it here by name
-    refuse_past_oracle_limit,
 )
 
 CSV_COLUMNS = ("n", "k", "s", "seed", "min_weight", "bound", "pass")
@@ -179,7 +177,6 @@ def verify_theorem1(
     seed: int = 0,
     mode: str = "both",
     exhaustive: bool = False,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> VerifyReport:
     """Balanced instances of K_4n admit a zero-weight perfect matching.
 
@@ -189,7 +186,8 @@ def verify_theorem1(
     recorded under ``stats["solver_mismatches"]``.  In mode ``solver`` an
     instance is checked only when its solve's gap is 0; one with gap > 0 is
     counted under ``stats["uncertified"]``, and its row's ``min_weight``
-    and ``pass`` are left blank.
+    and ``pass`` are left blank.  Modes ``oracle`` and ``both`` need n <= 6:
+    past the oracle's order limit, 24, the first oracle call raises.
     """
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
@@ -200,9 +198,6 @@ def verify_theorem1(
     if not exhaustive:
         _require_samples(samples)
     order = 4 * n
-    # the limit's range is checked in every mode; it caps the order only where the oracle runs
-    refuse_past_oracle_limit(0 if mode == "solver" else order, oracle_limit,
-                             "check with the solver alone (--mode solver)")
 
     t0 = time.perf_counter()
     report = VerifyReport(
@@ -223,7 +218,7 @@ def verify_theorem1(
         g = prebuilt if prebuilt is not None else random_with_imbalance(order, 0, inst_seed)
         observed_min: int | None = None
         if mode in ("oracle", "both"):
-            observed_min, _ = oracle_min_weight(g, oracle_limit)
+            observed_min, _ = oracle_min_weight(g)
             report.check(g, "min_weight 0", f"min_weight {observed_min}", observed_min == 0)
         if mode in ("solver", "both"):
             _, solve = local_search_min_weight(g, seed=inst_seed)

@@ -1,14 +1,24 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from lowpm import cli, oracle_min_weight, parse_instance, random_with_imbalance, solver, verifier
+from lowpm import (
+    cli,
+    oracle_min_weight,
+    parse_instance,
+    random_with_imbalance,
+    serialize_instance,
+    solver,
+    verifier,
+)
 from lowpm.cli import main
 
 
@@ -268,6 +278,29 @@ class TestOneOracleLimit:
             assert (code, err) == (0, "")
         assert oracle_calls == []
 
+    @pytest.mark.parametrize("argv,line", [
+        (("oracle", "{r26}"),
+         "order 26 exceeds the oracle limit 24 and the most --oracle-limit accepts, 24"),
+        (("oracle", "{r20}", "--oracle-limit", "16"),
+         "order 20 exceeds the oracle limit 16; raise the limit (--oracle-limit)"),
+        (("solve", "{r20}", "--check-oracle", "--oracle-limit", "16"),
+         "order 20 exceeds the oracle limit 16; raise the limit (--oracle-limit)"),
+        (("verify", "thm1", "--n", "5", "--oracle-limit", "16"),
+         "order 20 exceeds the oracle limit 16; raise the limit (--oracle-limit)"
+         " or check with the solver alone (--mode solver)"),
+        (("verify", "thm1", "--n", "7"),
+         "order 28 exceeds the oracle limit 24 and the most --oracle-limit accepts, 24;"
+         " check with the solver alone (--mode solver)"),
+    ], ids=["oracle-26", "oracle-20-at-16", "solve-20-at-16", "thm1-20-at-16", "thm1-28"])
+    def test_refusal_line_is_exact(self, tmp_path, capsys, argv, line):
+        paths = {"r20": tmp_path / "r20.sk", "r26": tmp_path / "r26.sk"}
+        paths["r20"].write_text(serialize_instance(random_with_imbalance(20, 0, 1)))
+        paths["r26"].write_text(serialize_instance(random_with_imbalance(26, 1, 0)))
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {line} (one oracle call takes ~30 ms at order 20 and ~0.25 s"
+                       " at order 24, growing ~3x per two vertices)\n")
+
     def test_order_26_refuses_with_no_flag(self, tmp_path, capsys):
         path = tmp_path / "r26.sk"
         # C(26, 2) is odd, so the imbalance is too
@@ -376,6 +409,21 @@ class TestVerify:
         assert all(way in err for way in ways_out)
         assert "mode='solver'" not in err
 
+    @pytest.mark.parametrize("argv,first", [
+        (("--n", "7", "--samples", "0"), "order 28 exceeds the oracle limit 24"),
+        (("--n", "7", "--exhaustive"), "order 28 exceeds the oracle limit 24"),
+        (("--n", "5", "--oracle-limit", "16", "--samples", "0"),
+         "order 20 exceeds the oracle limit 16"),
+        (("--n", "7", "--mode", "solver", "--samples", "0"),
+         "samples must be a positive integer, got 0"),
+    ], ids=["samples", "exhaustive", "samples-at-16", "solver-samples"])
+    def test_thm1_names_the_limit_before_samples_or_exhaustive(self, capsys, argv, first):
+        # the CLI refuses an order past the limit before verify_theorem1 reads the rest;
+        # in mode solver there is no limit to refuse
+        code, out, err = run(capsys, "verify", "thm1", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {first}") and err.count("\n") == 1
+
     def test_thm1_exhaustive_ignores_samples(self, capsys):
         code, out, _ = run(capsys, "verify", "thm1", "--n", "1", "--exhaustive",
                            "--samples", "0")
@@ -422,10 +470,12 @@ class TestSweep:
         assert out.splitlines()[-1] == "n=2 k=2 instances=1 FAIL"
         assert out.splitlines()[:2] == ["n=1 k=1 instances=1 pass", "n=2 k=1 instances=1 pass"]
 
-    @pytest.mark.parametrize("n_max,workers", [(1, None), (2, 2)])
-    def test_jobs_capped_at_grid_cells(self, capsys, monkeypatch, n_max, workers):
-        # a fake pool that records its size and maps in this process: a real
-        # pool forks all of its workers at the first submit
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The size of each process pool a sweep asks for, on 8 CPUs.
+
+        The fake pool maps in this process: a real one forks all of its
+        workers at the first submit."""
         import concurrent.futures
 
         sizes = []
@@ -444,10 +494,25 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        return sizes
+
+    @pytest.mark.parametrize("n_max,workers", [(1, None), (2, 2)])
+    def test_jobs_capped_at_grid_cells(self, capsys, pool_sizes, n_max, workers):
         args = ["sweep", "tight", "--n-max", str(n_max), "--k-min", "1", "--k-max", "1"]
         code, out, _ = run(capsys, *args, "--jobs", "4")
         assert code == 0
-        assert sizes == ([] if workers is None else [workers])
+        assert pool_sizes == ([] if workers is None else [workers])
+        assert out == run(capsys, *args)[1]
+
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (8, 6), (1, None), (None, None)])
+    def test_jobs_capped_at_the_cpu_count(self, capsys, monkeypatch, pool_sizes, cpus, workers):
+        # 6 cells and --jobs 64: the pool gets no more workers than CPUs, and 1 runs serially
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        args = ["sweep", "tight", "--n-max", "6", "--k-min", "1", "--k-max", "1"]
+        code, out, _ = run(capsys, *args, "--jobs", "64")
+        assert code == 0
+        assert pool_sizes == ([] if workers is None else [workers])
         assert out == run(capsys, *args)[1]
 
     @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"),
@@ -503,6 +568,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main(["verify", "prop2", "--k", "2", "--oracle-limit", "16"])
         assert info.value.code == 2
+
+    def test_only_the_cli_names_a_flag(self):
+        # the library states its limits in its own terms; the CLI maps them to flags
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            if path.name == "cli.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    assert not re.search(r"--[a-z]", node.value), (path.name, node.value)
 
     def test_import_leaves_the_process_pool_out(self):
         # only sweep --jobs > 1 starts a pool; every other command skips its imports

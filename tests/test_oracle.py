@@ -7,7 +7,6 @@ import pytest
 
 from lowpm import (
     OracleLimitError,
-    ParameterError,
     PerfectMatching,
     SignedCompleteGraph,
     certify,
@@ -16,13 +15,15 @@ from lowpm import (
     pair_count,
     proposition2_instance,
     random_with_imbalance,
+    serialize_instance,
     sigma_matching,
     verify_theorem1,
     verify_theorem2,
     verify_tightness,
 )
 from lowpm import solver
-from lowpm.solver import _pairings
+from lowpm.cli import main
+from lowpm.solver import ORACLE_COST, _pairings
 
 from helpers import brute_min_weight, brute_perfect_matchings, flipped_prop2, reference_oracle
 
@@ -102,7 +103,7 @@ class TestOracle:
         parity = pair_count(order) % 2
         for seed in range(4):
             g = random_with_imbalance(order, parity + 10 * seed, seed)
-            w, witness = oracle_min_weight(g, order_limit=order)
+            w, witness = oracle_min_weight(g)
             assert abs(sigma_matching(g, witness)) == w
             assert w == certify(g).bound
 
@@ -139,46 +140,51 @@ class TestOracle:
             assert w % 2 == 1
             assert w == brute_min_weight(g)[0]
 
-    def test_order_limit_refusal_names_limit(self):
-        g = random_with_imbalance(18, 1, 0)
-        with pytest.raises(OracleLimitError) as info:
-            oracle_min_weight(g, order_limit=16)
-        assert "16" in str(info.value)
-
     def test_order_past_the_maximum_is_not_told_to_raise_the_limit(self):
-        # --oracle-limit cannot go past the default, 24, so the refusal says so instead
-        g = random_with_imbalance(26, 1, 0)
+        # 24 is fixed in the library; the ways out, with their flags, are the CLI's to name
         with pytest.raises(OracleLimitError) as info:
-            oracle_min_weight(g, order_limit=16)
+            oracle_min_weight(random_with_imbalance(26, 1, 0))
         message = str(info.value)
-        assert message.startswith("order 26 exceeds the oracle limit 16")
-        assert "the most --oracle-limit accepts, 24" in message
-        assert "raise the limit" not in message
+        assert message == f"order 26 exceeds the oracle limit 24 ({ORACLE_COST})"
+        assert "--" not in message and "raise the limit" not in message
 
-    def test_order_limit_override(self):
-        g = random_with_imbalance(18, 1, 0)
-        w, witness = oracle_min_weight(g, order_limit=18)
-        assert w % 2 == 1
-        assert abs(sigma_matching(g, witness)) == w
-
-    @pytest.mark.parametrize("call,limit", [
-        (lambda: oracle_min_weight(random_with_imbalance(8, 0, 1), -3), -3),
-        (lambda: oracle_min_weight(random_with_imbalance(8, 0, 1), 1), 1),
-        (lambda: oracle_min_weight(random_with_imbalance(8, 0, 1), 25), 25),
-        (lambda: oracle_min_weight(random_with_imbalance(26, 1, 3), 26), 26),
-        (lambda: verify_theorem1(1, samples=2, mode="solver", oracle_limit=0), 0),
-        (lambda: verify_theorem1(10, samples=2, mode="solver", oracle_limit=99), 99),
+    # the flag's argparse type is the one place a limit's range is checked
+    @pytest.mark.parametrize("argv,limit", [
+        (("oracle", "{r8}"), "-3"),
+        (("oracle", "{r8}"), "1"),
+        (("oracle", "{r8}"), "25"),
+        (("oracle", "{r26}"), "26"),
+        (("verify", "thm1", "--n", "1", "--samples", "2", "--mode", "solver"), "0"),
+        (("verify", "thm1", "--n", "10", "--samples", "2", "--mode", "solver"), "99"),
     ], ids=["oracle-negative", "oracle-1", "oracle-25", "oracle-26-at-26", "thm1-solver-0",
             "thm1-solver-99"])
-    def test_limit_outside_its_range_blames_the_limit(self, call, limit):
-        with pytest.raises(ParameterError) as info:
-            call()
-        assert not isinstance(info.value, OracleLimitError)
-        assert str(info.value) == f"oracle limit must be between 2 and 24, got {limit}"
+    def test_limit_outside_its_range_blames_the_limit(self, tmp_path, capsys, argv, limit):
+        paths = {"r8": tmp_path / "r8.sk", "r26": tmp_path / "r26.sk"}
+        paths["r8"].write_text(serialize_instance(random_with_imbalance(8, 0, 1)))
+        paths["r26"].write_text(serialize_instance(random_with_imbalance(26, 1, 3)))
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(**paths) for arg in argv] + ["--oracle-limit", limit])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        end = "maximum is 24" if int(limit) > 24 else "minimum is 2"
+        assert captured.err.endswith(f" error: argument --oracle-limit: the {end}, got {limit}\n")
 
-    def test_limits_at_the_ends_of_the_range_are_accepted(self):
-        assert oracle_min_weight(SignedCompleteGraph(2, (-1,)), 2)[0] == 1
-        assert oracle_min_weight(random_with_imbalance(8, 0, 1), 24)[0] == 0
+    def test_limits_at_the_ends_of_the_range_are_accepted(self, tmp_path, capsys):
+        path = tmp_path / "inst.sk"
+        for g, limit, expected in ((SignedCompleteGraph(2, (-1,)), "2", 1),
+                                   (random_with_imbalance(24, 0, 1), "24", 0)):
+            path.write_text(serialize_instance(g))
+            assert main(["oracle", str(path), "--oracle-limit", limit]) == 0
+            assert capsys.readouterr().out.startswith(f"min_weight {expected}\n")
+
+    def test_oracle_takes_no_limit(self):
+        with pytest.raises(TypeError):
+            oracle_min_weight(random_with_imbalance(8, 0, 1), order_limit=24)
+
+    def test_thm1_takes_no_limit(self):
+        with pytest.raises(TypeError):
+            verify_theorem1(1, samples=2, oracle_limit=24)
 
     def test_tight_takes_no_limit(self):
         with pytest.raises(TypeError):

@@ -107,7 +107,12 @@ class TestReport:
         d = report.to_dict()
         assert d["final_weight"] == report.final_weight
         assert set(d["moves_applied"]) == {"2", "3", "4"}
-        assert d["oracle_checked"] is False
+        # solve --check-oracle adds the oracle's keys itself
+        assert not {"oracle_checked", "oracle_min_weight"} & set(d)
+
+    def test_report_has_no_oracle_fields(self):
+        with pytest.raises(TypeError):
+            solver.SolveReport(0, 0, {}, "floor", 0, oracle_checked=True)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lowpm import (
+    OracleLimitError,
     ParameterError,
     VerifyReport,
     certify,
@@ -65,8 +66,8 @@ class TestTheorem1:
             verify_theorem1(0)
         with pytest.raises(ParameterError):
             verify_theorem1(2, exhaustive=True)
-        with pytest.raises(ParameterError):
-            verify_theorem1(5, mode="oracle", oracle_limit=16)  # order 20 above the limit
+        with pytest.raises(OracleLimitError):
+            verify_theorem1(7, samples=1, mode="oracle")  # order 28 past the oracle's 24
         with pytest.raises(ParameterError):
             verify_theorem1(1, mode="everything")
 
