@@ -61,7 +61,7 @@ from .verifier import (
     verify_tightness,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "InstanceFormatError",

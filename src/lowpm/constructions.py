@@ -22,6 +22,10 @@ lowest-indexed vertices.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from itertools import accumulate, compress, repeat
+
 from .core import (
     ParameterError,
     SignedCompleteGraph,
@@ -31,6 +35,9 @@ from .core import (
     sign_subgraph,
 )
 from .rng import SplitMix64
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_SIGNS = bytes.maketrans(b"\x00\x01", b"\xff\x01")  # bit -> sign as a signed byte
 
 
 def _check_nk(n: int, k: int, clique_fits: bool = True) -> None:
@@ -106,8 +113,10 @@ def eg_extremal_graph(n: int, k: int) -> SimpleGraph:
 def random_with_imbalance(order: int, s: int, seed: int) -> SignedCompleteGraph:
     """Uniform random sign vector with imbalance exactly ``s``.
 
-    Exactly (C(order,2)+s)/2 edges get +1, their positions drawn by partial
-    Fisher-Yates from the pinned SplitMix64 stream.  ``s`` must satisfy
+    Exactly (C(order,2)+s)/2 edges get +1: one bit per pair from the pinned
+    SplitMix64 stream, 64 pairs per word, then a uniform fix-up of the
+    surplus class to the exact count (the procedure and why the result is
+    uniform are in the :mod:`lowpm.rng` docstring).  ``s`` must satisfy
     |s| <= C(order,2) and have the same parity as C(order,2).
     """
     if order < 2 or order % 2:  # before s, whose parity is read off the order
@@ -120,16 +129,49 @@ def random_with_imbalance(order: int, s: int, seed: int) -> SignedCompleteGraph:
             f"imbalance s={s} must have the same parity as C({order},2)={total}"
         )
     plus = (total + s) // 2
-    signs = [-1] * total
-    for i in SplitMix64(seed)._sample_front(total, plus):  # the sample, unsorted
-        signs[i] = 1
-    return SignedCompleteGraph(order, tuple(signs))
+    rng = SplitMix64(seed)
+    bits = bytearray(rng._bits(total))
+    ones = int.from_bytes(bits, "little").bit_count()  # each 1 byte sets one bit
+    if ones != plus:
+        surplus = 1 if ones > plus else 0
+        mark = bits if surplus else bits.translate(_FLIP)
+        m, f = ones if surplus else total - ones, abs(ones - plus)
+        if 2 * f <= m:
+            for k in _nth_marked(mark, rng._sample_front(m, f)):
+                bits[k] = 1 - surplus
+        else:  # the kept m - f are fewer: flip the whole class, then put them back
+            bits = bytearray([1 - surplus]) * total
+            for k in _nth_marked(mark, rng._sample_front(m, m - f)):
+                bits[k] = surplus
+    return SignedCompleteGraph(order, tuple(array("b", bits.translate(_SIGNS))))
+
+
+def _nth_marked(mark: bytes, ranks: list[int]) -> list[int]:
+    """``pos[r]`` for each r in ``ranks``, where ``pos`` lists the positions
+    of the 1 bytes of ``mark`` in ascending order.
+
+    The sample is usually far smaller than ``pos``, so ``pos`` is never
+    built: 64-byte blocks are counted at C speed, a rank is found by
+    bisecting the running counts, and each block it lands in is listed once.
+    """
+    if not ranks:
+        return []
+    ends = list(accumulate(map(mark.count, repeat(1), range(0, len(mark), 64),
+                               range(64, len(mark) + 64, 64))))
+    blocks: dict[int, list[int]] = {}
+    found = []
+    for r in ranks:
+        b = bisect_right(ends, r)
+        if b not in blocks:
+            blocks[b] = list(compress(range(64 * b, 64 * b + 64), mark[64 * b:64 * b + 64]))
+        found.append(blocks[b][r - ends[b - 1] if b else r])
+    return found
 
 
 def random_graph(order: int, seed: int) -> SimpleGraph:
     """Random graph on {0,...,order-1}; each edge present with probability 1/2.
 
-    One ``bounded(2)`` draw per pair, in canonical pair order.  2^64 is
-    even, so ``bounded(2)`` never rejects a word and is its low bit.
+    Pair k of the canonical order is an edge iff bit k of the stream is 1,
+    64 pairs per SplitMix64 word (see :mod:`lowpm.rng`).
     """
-    return _pair_subgraph(order, SplitMix64(seed)._low_bits(pair_count(order)))
+    return _pair_subgraph(order, SplitMix64(seed)._bits(pair_count(order)))

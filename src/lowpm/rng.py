@@ -17,21 +17,43 @@ Derived procedures are likewise pinned:
 * ``shuffle``: Fisher-Yates from the last index down, ``j = bounded(i + 1)``.
 * ``sample_indices(p, c)``: partial Fisher-Yates from the front of
   ``[0, ..., p-1]``; the first ``c`` slots, sorted, are the sample.
-  ``random_with_imbalance`` needs only the set, so it reads the same slots
-  unsorted.
+* ``_bits(count)``: the next ceil(count/64) words, 64 bits per word; bit
+  position k is bit k mod 64 (least significant first) of word k // 64.
 
-Packed draws: ``random_graph`` (through ``_low_bits``) and
-``sample_indices`` compute up to ``_CHUNK`` words at once in big-int
-arithmetic.  Word i of a chunk sits in bits 128i..128i+63 of one Python
-int, whose lanes start as the states ``state + (i+1)*gamma mod 2^64``; each
-mixing step is one shift, XOR, multiply and mask over the whole int.  A
-64 x 64-bit product fits in its 128-bit lane, and the mask after each step
-drops what a shift pulled in from the next lane, so every lane holds exactly
-the word ``next_u64`` would give.  ``sample_indices`` runs Fisher-Yates over
-a chunk's words; at a word the ``bounded`` rule rejects it keeps that word
-drawn and starts the next chunk after it.  Either way the state is left at
-``start + taken*gamma``, so every procedure above draws the same stream as
-its one-word-at-a-time transcription.
+Seeded instances (stream version 2, lowpm 0.2.0; 0.1.0 spent one whole word
+per pair, as ``bounded(2)`` for a graph and Fisher-Yates over every pair
+for a signing):
+
+* ``random_graph(order, seed)``: pair k of the canonical order is an edge
+  iff bit k of ``_bits(C(order, 2))`` is 1.
+* ``random_with_imbalance(order, s, seed)`` with T = C(order, 2) pairs and
+  p = (T + s)/2 pluses: draw b = ``_bits(T)`` and count its c ones.  If
+  c != p, the surplus class is the ones when c > p and the zeros otherwise;
+  let ``pos`` be its m positions, ascending, and f = |c - p|.  If 2f <= m,
+  flip ``pos[i]`` for each i in ``sample_indices(m, f)``, drawn from the
+  same stream after the bits; otherwise flip every surplus position but
+  ``pos[i]`` for i in ``sample_indices(m, m - f)``.  Only the set matters,
+  so the code reads the same slots unsorted.  Bit 1 is +1, bit 0 is -1.
+
+  The result is uniform over the C(T, p) vectors with p pluses.  The bits
+  are i.i.d., so their law is invariant under every permutation of the
+  pairs; the fix-up flips a uniform f-subset of the surplus class (the
+  complement of a uniform (m - f)-subset is one), which commutes with
+  permuting the pairs.  So the output's law is permutation-invariant too,
+  and the permutations act transitively on the vectors with p pluses.
+
+Packed draws: ``_bits`` and ``sample_indices`` compute up to ``_CHUNK``
+words at once in big-int arithmetic.  Word i of a chunk sits in bits
+128i..128i+63 of one Python int, whose lanes start as the states
+``state + (i+1)*gamma mod 2^64``; each mixing step is one shift, XOR,
+multiply and mask over the whole int.  A 64 x 64-bit product fits in its
+128-bit lane, and the mask after each step drops what a shift pulled in from
+the next lane, so every lane holds exactly the word ``next_u64`` would give.
+``sample_indices`` runs Fisher-Yates over a chunk's words; at a word the
+``bounded`` rule rejects it keeps that word drawn and starts the next chunk
+after it.  Either way the state is left at ``start + taken*gamma``, so every
+procedure above draws the same stream as its one-word-at-a-time
+transcription.
 
 Seed streams: a sweep with master seed ``s`` draws one 64-bit word per
 instance from ``SplitMix64(s)`` and uses it as that instance's seed.
@@ -51,6 +73,8 @@ _MIX2 = 0x94D049BB133111EB
 
 # Words per packed draw: each lane is 16 bytes, so a chunk's ints stay ~16 KB.
 _CHUNK = 1024
+
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @cache
@@ -101,15 +125,23 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def _low_bits(self, count: int) -> bytes:
-        """Bit 0 of each of the next ``count`` words, one byte (0 or 1) per word."""
-        chunks = []
-        for start in range(0, count, _CHUNK):
-            size = min(_CHUNK, count - start)
-            z, ones, _ = _mixed_lanes(self.state, size)
-            chunks.append(((z ^ z >> 31) & ones).to_bytes(16 * size, "little")[::16])
+    def _bits(self, count: int) -> bytes:
+        """The next ``count`` bits, one byte (0 or 1) each: position k holds
+        bit k mod 64, least significant first, of word k // 64."""
+        words: list[int] = []
+        needed = -(-count // 64)
+        for start in range(0, needed, _CHUNK):
+            size = min(_CHUNK, needed - start)
+            words += _chunk_words(self.state, size)
             self.state = (self.state + size * _GAMMA) & _MASK64
-        return b"".join(chunks)
+        packed = array("Q", words)
+        if sys.byteorder != "little":
+            packed.byteswap()
+        stream = int.from_bytes(packed.tobytes(), "little")
+        # a 1 above the last position keeps leading zeros; [:0:-1] drops it
+        # and puts position 0 first
+        digits = format(stream & (1 << count) - 1 | 1 << count, "b")[:0:-1]
+        return digits.encode().translate(_DIGIT_BITS)
 
     def bounded(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling."""

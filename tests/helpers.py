@@ -306,17 +306,47 @@ def reference_sample_indices(words, population: int, count: int) -> list[int]:
     return sorted(pool[:count])
 
 
+def reference_bits(words, count: int) -> list[int]:
+    """Bit k mod 64 of word k // 64 for k < count, least significant first."""
+    bits = []
+    for k in range(count):
+        if k % 64 == 0:
+            word = next(words)
+        bits.append(word >> (k % 64) & 1)
+    return bits
+
+
 def reference_random_with_imbalance(order: int, s: int, seed: int) -> tuple[int, ...]:
-    """Sign vector with (C(order,2)+s)/2 plus positions, sampled as above."""
+    """Stream version 2: T bits, then a uniform fix-up of the surplus class."""
     total = order * (order - 1) // 2
-    plus = set(reference_sample_indices(reference_words(seed), total, (total + s) // 2))
-    return tuple(1 if i in plus else -1 for i in range(total))
+    plus = (total + s) // 2
+    words = reference_words(seed)
+    bits = reference_bits(words, total)
+    ones = sum(bits)
+    if ones != plus:
+        surplus = 1 if ones > plus else 0
+        positions = [k for k in range(total) if bits[k] == surplus]
+        m, f = len(positions), abs(ones - plus)
+        if 2 * f <= m:
+            flipped = {positions[i] for i in reference_sample_indices(words, m, f)}
+        else:
+            kept = {positions[i] for i in reference_sample_indices(words, m, m - f)}
+            flipped = set(positions) - kept
+        for k in flipped:
+            bits[k] = 1 - surplus
+    return tuple(1 if bit else -1 for bit in bits)
 
 
 def reference_random_graph(order: int, seed: int) -> tuple:
-    """One ``bounded(2)`` draw per pair, pairs in canonical order."""
-    words = reference_words(seed)
-    return tuple(
-        (u, v) for u in range(order) for v in range(u + 1, order)
-        if reference_bounded(words, 2) == 1
-    )
+    """Stream version 2: pair k, in canonical order, is an edge iff bit k is 1."""
+    pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    bits = reference_bits(reference_words(seed), len(pairs))
+    return tuple(pair for pair, bit in zip(pairs, bits) if bit)
+
+
+def random_with_imbalance_v0_1_0(order: int, s: int, seed: int) -> SignedCompleteGraph:
+    """The lowpm 0.1.0 stream: the plus positions are the first
+    (C(order,2)+s)/2 slots of a partial Fisher-Yates over every pair."""
+    total = order * (order - 1) // 2
+    plus = set(reference_sample_indices(reference_words(seed), total, (total + s) // 2))
+    return SignedCompleteGraph(order, tuple(1 if i in plus else -1 for i in range(total)))

@@ -122,6 +122,12 @@ class TestHungarianTreePruning:
             extremal = eg_extremal_graph(n, k)
             assert_maximum(extremal.order, extremal.edges)
 
+    def test_root_next_to_a_dead_vertex_is_still_searched(self):
+        # greedy pairs 0-4 and 2-3; root 1's search fails and kills 1, 4 and 0.
+        # Root 5 has dead 4 and live 3 as neighbours, and augments along 5-3-2-6.
+        edges = ((0, 4), (1, 4), (2, 3), (2, 6), (3, 5), (4, 5))
+        assert maximum_matching(7, edges) == ((0, 4), (2, 6), (3, 5))
+
     def test_sparse_odd_cycles_with_chords(self):
         # 139 of the 172 failed searches on these graphs end holding a
         # contracted blossom, which is then deleted with its tree

@@ -1,5 +1,6 @@
 """Instance families, bound functions, and the seeded samplers."""
 
+from collections import Counter
 from math import comb
 
 import pytest
@@ -23,9 +24,22 @@ from lowpm import (
 from helpers import (
     brute_matching_number,
     brute_perfect_matchings,
+    reference_bits,
     reference_random_graph,
     reference_random_with_imbalance,
+    reference_words,
 )
+
+
+def fix_up_branch(order, s, seed):
+    """How the sampler reaches s from the reference bits: ``none``, ``flip``
+    (2f < m), ``tie`` (2f = m) or ``keep`` (2f > m)."""
+    total = comb(order, 2)
+    ones = sum(reference_bits(reference_words(seed), total))
+    plus = (total + s) // 2
+    f = abs(ones - plus)
+    m = ones if ones > plus else total - ones
+    return "none" if f == 0 else "flip" if 2 * f < m else "tie" if 2 * f == m else "keep"
 
 
 class TestBoundQuery:
@@ -241,12 +255,45 @@ class TestRandomWithImbalance:
         assert plus_seen == set(range(28))
         assert minus_seen == set(range(28))
 
-    @pytest.mark.parametrize("order", [8, 10, 16, 40, 200])
+    @pytest.mark.parametrize("order", [8, 10, 16, 40, 200, 400])
     def test_matches_reference_transcription(self, order):
         total = comb(order, 2)
         for s in (total % 2, total, -total, total - 2 * order, 2 * order - total):
             g = random_with_imbalance(order, s, order + s)
             assert g.signs == reference_random_with_imbalance(order, s, order + s), (order, s)
+
+    def test_matches_reference_on_every_fix_up_branch(self):
+        # every imbalance at orders 2-8: no fix-up, flipping f of the surplus
+        # class (2f < m), the tie 2f = m, which also flips f, and keeping m - f
+        branches = set()
+        for order in (2, 4, 6, 8):
+            total = comb(order, 2)
+            for s in range(-total, total + 1, 2):
+                for seed in range(8):
+                    g = random_with_imbalance(order, s, seed)
+                    assert g.signs == reference_random_with_imbalance(order, s, seed), (order, s, seed)
+                    branches.add(fix_up_branch(order, s, seed))
+        assert branches == {"none", "flip", "tie", "keep"}
+
+    def test_exact_imbalance_at_every_order(self):
+        # order 400 draws 1,247 words, past one packed chunk of 1,024
+        for order in (*range(2, 201, 2), 400):
+            total = comb(order, 2)
+            near = total % 2 + 2
+            for s in {total % 2, near, -near, total - 2, 2 - total, total, -total}:
+                if abs(s) <= total:
+                    g = random_with_imbalance(order, s, order + s)
+                    assert sigma_total(g) == s, (order, s)
+
+    def test_balanced_k4_vectors_are_uniform(self):
+        # 4,000 seeded draws over the C(6,3) = 20 balanced vectors of K4: the
+        # chi-square statistic (19 degrees of freedom) must stay below 43.82,
+        # its 0.999 quantile
+        draws = 4000
+        counts = Counter(random_with_imbalance(4, 0, seed).signs for seed in range(draws))
+        assert len(counts) == 20
+        expected = draws / 20
+        assert sum((c - expected) ** 2 / expected for c in counts.values()) < 43.82
 
 
 class TestRandomGraph:

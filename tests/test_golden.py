@@ -13,17 +13,18 @@ import json
 
 import pytest
 
+from lowpm import solver
 from lowpm.cli import main
 
 GOLDEN = {
     ("gen", "random", "--order", "40", "--imbalance", "-6", "--seed", "11"):
-        "340a2e8597fd8863d0800107a5bdd9bec50cc3817f1e1027242e87f25ae2a87b",
+        "024ae00306d7f23f1855862a1496f9d44626e1c9f32c77f293957c6fda5bd77a",
     ("verify", "thm1", "--n", "10", "--mode", "solver", "--samples", "30", "--seed", "5",
      "--format", "json"):
         "573044e5104378f440ab84fd78fada43380eb5637bf3214bb4eeae2e28951a3b",
     ("verify", "eg", "--n", "12", "--k", "1", "--samples", "60", "--seed", "5",
      "--format", "csv"):
-        "d612ac157727d4fb9d06e58de489714da572a0c3f5856991ea4f4648ccb07164",
+        "a2b961783511cb5a6c522b52182b11664ad011277737395ec1fbc507b9ff2052",
     ("sweep", "tight", "--n-min", "4", "--n-max", "5", "--k-min", "2", "--k-max", "3"):
         "bc1e689ba9a73f41dc10835eaa05eff62bdb2f5d6e6357c5bb4571bd53478901",
     ("verify", "thm2", "--n", "3", "--k", "2", "--samples", "20", "--seed", "5",
@@ -59,7 +60,7 @@ THM2_ROWS_GOLDEN = {
         "9ce555774519bd4d129cb234e06e94787847cd963dc32bd391f5787d5de9b460",
     ("sweep", "thm2", "--n-min", "1", "--n-max", "5", "--k-min", "2", "--k-max", "4",
      "--samples", "10", "--seed", "3"):
-        "01629a77ae2ab4589f95244cfc43bc7b0860f801e014b4acc6fa5e44b16adf77",
+        "dfe83785c38e76f8e689b137c1d149e34dae02f557d9e49d72ee2deac4e361b7",
 }
 
 
@@ -72,10 +73,10 @@ def test_thm2_rows_digest(argv):
 # rng's packed draw; these draw 9,950 sampled words and 19,900 words per graph.
 LONG_STREAM_GOLDEN = {
     ("gen", "random", "--order", "200", "--imbalance", "0", "--seed", "7"):
-        "1301148d5fe33958874d619a8ed0bce3f243801b1a2feb228cc5a03641188158",
+        "3c54f653131699e52c9dd26839e37a3b9667f4120b7bd1320d518a370a25749d",
     ("verify", "eg", "--n", "50", "--k", "1", "--samples", "3", "--seed", "5",
      "--format", "csv"):
-        "5d62d9953a0f5053a3348e75ef36c42c4c13053227d0109a1c5a07c409084580",
+        "737687b673c6d533243b941293c20ab5b1019c2bbfb111ea4062d170d4a8dae3",
 }
 
 
@@ -91,16 +92,21 @@ SOLVE_GOLDEN = {
     "clique": (("clique", "--n", "3", "--k", "2"),
                "13de023d2892bf8320077078c5a29469559fa32eb4f5c8767bc65cacc622c664"),
     "random": (("random", "--order", "40", "--imbalance", "-6", "--seed", "11"),
-               "75043ea1e2b4e2b49bcc71e825d7494cacc3d7ac5b2b589fdb2db7d461828d26"),
+               "f1f30494992effb0e2706ba70341255917f0070d0964fa60c852311d1afd8e3c"),
     "walk": (("random", "--order", "12", "--imbalance", "-60", "--seed", "0"),
-             "c46533579a286dfbe8ded56a4297b4afdadca0024fec17798507b7b760a55345"),
+             "e01ff5ad3dd1763b279fb125b9e4fa6231e95d6fdf0ce4043bc526f3187f053e"),
 }
 
 
 @pytest.mark.parametrize("name", list(SOLVE_GOLDEN))
-def test_solve_stdout_digest(name, tmp_path):
+def test_solve_stdout_digest(name, tmp_path, monkeypatch):
     family, digest = SOLVE_GOLDEN[name]
     path = tmp_path / "instance.sk"
     assert main(["gen", *family, "-o", str(path)]) == 0
+    walks = []
+    walk = solver._interpolation_walk
+    monkeypatch.setattr(solver, "_interpolation_walk",
+                        lambda *args: walks.append(args) or walk(*args))
     argv = ("solve", str(path), "--seed", "3", "--format", "json")
     assert stdout_digest(argv) == digest
+    assert bool(walks) == (name == "walk")

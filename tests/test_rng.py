@@ -1,13 +1,16 @@
 """The pinned RNG: reference vectors and derived sampling procedures."""
 
-from itertools import islice
-
 import pytest
 
 from lowpm import SplitMix64
 from lowpm.rng import _CHUNK, _chunk_words
 
-from helpers import reference_sample_indices, reference_stream, reference_words
+from helpers import (
+    reference_bits,
+    reference_sample_indices,
+    reference_stream,
+    reference_words,
+)
 
 # First outputs of the reference SplitMix64 for seed 0, as published with
 # the original C implementation.
@@ -130,10 +133,27 @@ def test_packed_draw_matches_reference(seed, count):
         assert _chunk_words(seed, count) == reference_stream(seed, count)
     rng = SplitMix64(seed)
     words = reference_words(seed)
-    assert list(rng._low_bits(count)) == [w & 1 for w in islice(words, count)]
+    assert list(rng._bits(64 * count)) == reference_bits(words, 64 * count)
     assert rng.next_u64() == next(words)
     rng = SplitMix64(seed)
     words = reference_words(seed)
     assert rng.sample_indices(count + 7, count) == reference_sample_indices(
         words, count + 7, count)
     assert rng.next_u64() == next(words)
+
+
+@pytest.mark.parametrize("seed", PACKED_SEEDS)
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 64 * _CHUNK - 1, 64 * _CHUNK + 1])
+def test_bits_match_reference(seed, count):
+    # ceil(count / 64) words: 64 * _CHUNK + 1 bits take one word of a second chunk
+    rng = SplitMix64(seed)
+    words = reference_words(seed)
+    bits = rng._bits(count)
+    assert type(bits) is bytes
+    assert list(bits) == reference_bits(words, count)
+    assert rng.next_u64() == next(words)
+
+
+def test_bits_are_least_significant_first():
+    word = reference_stream(5, 1)[0]
+    assert list(SplitMix64(5)._bits(64)) == [int(d) for d in reversed(f"{word:064b}")]

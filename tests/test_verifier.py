@@ -24,7 +24,7 @@ from lowpm import (
 )
 from lowpm import verifier
 
-from helpers import sigma_by_index
+from helpers import reference_random_graph, reference_words, sigma_by_index
 
 
 def strip_elapsed(report_json: str) -> dict:
@@ -246,11 +246,14 @@ class TestErdosGallai:
         assert report.tested == 202
 
     def test_graphs_at_or_below_the_bound_are_not_counted(self):
-        # the README case: 11 of its 1000 graphs have at most 7 edges, so the
-        # contrapositive says nothing about them; each still gets a row
+        # the README case: a few of its 1000 graphs have at most 7 = C(8,2) - C(7,2)
+        # edges, so the contrapositive says nothing about them; each still gets a row
+        seeds = reference_words(7)
+        above = sum(len(reference_random_graph(8, next(seeds))) > 7 for _ in range(1000))
+        assert 0 < above < 1000
         report = verify_erdos_gallai(2, 1, samples=1000, seed=7)
-        assert report.stats["samples_above_bound"] == 989
-        assert report.tested == report.passed == 2 + 989
+        assert report.stats["samples_above_bound"] == above
+        assert report.tested == report.passed == 2 + above
         assert len(report.rows) == 1 + 1000
 
     def test_edgeless_case(self):
