@@ -135,18 +135,6 @@ class SignedCompleteGraph:
     def minus_count(self) -> int:
         return len(self.signs) - self.plus_count
 
-    @cached_property
-    def plus_masks(self) -> tuple[int, ...]:
-        """Per-vertex plus neighbourhoods: bit v of entry u <=> sign(u, v) = +1."""
-        masks = [0] * self.order
-        it = iter(self.signs)
-        for u in range(self.order):
-            for v in range(u + 1, self.order):
-                if next(it) > 0:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-        return tuple(masks)
-
     def sign(self, u: int, v: int) -> int:
         """Label of the edge {u, v} (endpoint order irrelevant)."""
         if u > v:

@@ -15,8 +15,9 @@ Derived procedures are likewise pinned:
 * ``bounded(n)``: draw 64-bit words, reject values >= 2^64 - (2^64 mod n),
   return ``word mod n`` (unbiased).
 * ``shuffle``: Fisher-Yates from the last index down, ``j = bounded(i + 1)``.
-* ``sample_indices(p, c)``: partial Fisher-Yates from the front of
-  ``[0, ..., p-1]``; the first ``c`` slots, sorted, are the sample.
+* ``_sample_front(p, c)``: partial Fisher-Yates from the front of
+  ``[0, ..., p-1]``, slot i swapped with slot ``i + bounded(p - i)``; the
+  first ``c`` slots are the sample.
 * ``_bits(count)``: the next ceil(count/64) words, 64 bits per word; bit
   position k is bit k mod 64 (least significant first) of word k // 64.
 
@@ -30,10 +31,10 @@ for a signing):
   p = (T + s)/2 pluses: draw b = ``_bits(T)`` and count its c ones.  If
   c != p, the surplus class is the ones when c > p and the zeros otherwise;
   let ``pos`` be its m positions, ascending, and f = |c - p|.  If 2f <= m,
-  flip ``pos[i]`` for each i in ``sample_indices(m, f)``, drawn from the
+  flip ``pos[i]`` for each i in ``_sample_front(m, f)``, drawn from the
   same stream after the bits; otherwise flip every surplus position but
-  ``pos[i]`` for i in ``sample_indices(m, m - f)``.  Only the set matters,
-  so the code reads the same slots unsorted.  Bit 1 is +1, bit 0 is -1.
+  ``pos[i]`` for i in ``_sample_front(m, m - f)``.  Bit 1 is +1, bit 0 is
+  -1.
 
   The result is uniform over the C(T, p) vectors with p pluses.  The bits
   are i.i.d., so their law is invariant under every permutation of the
@@ -42,14 +43,14 @@ for a signing):
   permuting the pairs.  So the output's law is permutation-invariant too,
   and the permutations act transitively on the vectors with p pluses.
 
-Packed draws: ``_bits`` and ``sample_indices`` compute up to ``_CHUNK``
+Packed draws: ``_bits`` and ``_sample_front`` compute up to ``_CHUNK``
 words at once in big-int arithmetic.  Word i of a chunk sits in bits
 128i..128i+63 of one Python int, whose lanes start as the states
 ``state + (i+1)*gamma mod 2^64``; each mixing step is one shift, XOR,
 multiply and mask over the whole int.  A 64 x 64-bit product fits in its
 128-bit lane, and the mask after each step drops what a shift pulled in from
 the next lane, so every lane holds exactly the word ``next_u64`` would give.
-``sample_indices`` runs Fisher-Yates over a chunk's words; at a word the
+``_sample_front`` runs Fisher-Yates over a chunk's words; at a word the
 ``bounded`` rule rejects it keeps that word drawn and starts the next chunk
 after it.  Either way the state is left at ``start + taken*gamma``, so every
 procedure above draws the same stream as its one-word-at-a-time
@@ -88,9 +89,9 @@ def _lane_constants() -> tuple[int, int, int]:
     return int.from_bytes(steps, "little"), ones, ones * _MASK64
 
 
-def _mixed_lanes(state: int, count: int) -> tuple[int, int, int]:
-    """The ``count`` <= ``_CHUNK`` words after ``state`` before the output
-    xorshift, lane i in bits 128i..128i+63, with the ones and mask of the lanes."""
+def _chunk_words(state: int, count: int) -> list[int]:
+    """The ``count`` <= ``_CHUNK`` words after ``state``, mixed as one int
+    with word i in bits 128i..128i+63."""
     steps, ones, mask = _lane_constants()
     if count < _CHUNK:
         cut = (1 << 128 * count) - 1
@@ -98,12 +99,6 @@ def _mixed_lanes(state: int, count: int) -> tuple[int, int, int]:
     z = (state * ones + steps) & mask
     z = ((z ^ z >> 30) & mask) * _MIX1 & mask
     z = ((z ^ z >> 27) & mask) * _MIX2 & mask
-    return z, ones, mask
-
-
-def _chunk_words(state: int, count: int) -> list[int]:
-    """The ``count`` <= ``_CHUNK`` words after ``state``."""
-    z, _, mask = _mixed_lanes(state, count)
     lanes = array("Q", ((z ^ z >> 31) & mask).to_bytes(16 * count, "little"))
     if sys.byteorder != "little":
         lanes.byteswap()
@@ -159,15 +154,13 @@ class SplitMix64:
             j = self.bounded(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def sample_indices(self, population: int, count: int) -> list[int]:
-        """``count`` distinct indices from [0, population), sorted ascending."""
-        return sorted(self._sample_front(population, count))
-
     def _sample_front(self, population: int, count: int) -> list[int]:
-        """The first ``count`` slots of the partial Fisher-Yates, in slot order."""
+        """The first ``count`` slots of the partial Fisher-Yates, in slot order:
+        ``count`` distinct indices from [0, population)."""
         if not 0 <= count <= population:
             raise ValueError(f"cannot sample {count} of {population}")
-        pool = list(range(population))
+        sample: list[int] = []
+        moved: dict[int, int] = {}  # slot -> index, for the slots a swap displaced
         # bounded(n) rejects only words >= 2^64 - (2^64 mod n) > 2^64 - population
         risky = _SPAN - population
         state = self.state
@@ -179,8 +172,10 @@ class SplitMix64:
                 if word > risky and word >= _SPAN - _SPAN % n:
                     break  # rejected as in bounded(): the next chunk starts after it
                 j = i + word % n
-                pool[i], pool[j] = pool[j], pool[i]
+                # slot i is final once swapped; slot j takes slot i's index
+                sample.append(moved.get(j, j))
+                moved[j] = moved.pop(i, i)
                 i += 1
             state = (state + taken * _GAMMA) & _MASK64
         self.state = state
-        return pool[:count]
+        return sample

@@ -17,13 +17,14 @@ optimal when they do not.  A walk that jumps from -2 to +2 over a bound of
 scans reach r = 3 and 4.
 
 The oracle computes the exact minimum of |weight| over all perfect
-matchings by asking, top down, whether a weight is achievable on the vertex
-sets left by repeatedly matching the lowest vertex.  A set's complete
-weights are computed at most once, when a query on it has tried every
-child, as a failed one has; so the floor is typically reached after a few
-dozen sets and, when it is unreachable, after all F(order+1) (10,946 at
-order 20).  Its witness is the lexicographically smallest optimal matching,
-which pins oracle output for a given instance.
+matchings by building its witness pair by pair, weight by weight, asking
+top down whether a weight is achievable on the vertex sets left by
+repeatedly matching the lowest vertex.  A set's complete weights are
+computed at most once, when a query on it has tried every child, as a
+failed one has; so the floor is typically reached after a few dozen sets
+and, when it is unreachable, after all F(order+1) (10,946 at order 20).
+Its witness is the lexicographically smallest optimal matching, which pins
+oracle output for a given instance.
 """
 
 from __future__ import annotations
@@ -284,15 +285,15 @@ def local_search_min_weight(
 def oracle_min_weight(g: SignedCompleteGraph) -> tuple[int, PerfectMatching]:
     """Exact minimum of |weight| over all perfect matchings, with witness.
 
-    :func:`_query` asks the whole vertex set for |weight| = floor, floor +
-    2, ...; the first weight achieved is the minimum.  The witness is built
-    pair by pair with the same queries: the lowest vertex takes the first
-    partner whose child still achieves an optimal target, so it is the
-    lexicographically smallest optimal matching.  Two local memos, freed
-    on return, back the queries: ``full`` maps a set to its complete weights
-    and ``yes`` to those already shown achievable, both as ints with bit
-    i <=> weight i - order (a target starts within order/2 of 0 and moves
-    by 1 per pair, so no bit goes negative).
+    For |weight| = floor, floor + 2, ... in turn, the witness is built pair
+    by pair from the targets {w, -w}: the lowest vertex u takes the first
+    partner v whose child achieves some target - sign(u, v), as
+    :func:`_reach` answers.  Only the first pair can find no partner, and
+    then w is not achieved; so the first weight built is the minimum, and
+    its witness the lexicographically smallest optimal matching.  ``full``,
+    a local memo freed on return, maps a vertex set to its complete weights
+    as an int with bit i <=> weight i - order (a target starts within
+    order/2 of 0 and moves by 1 per pair, so no bit goes negative).
 
     Refuses instances with order above :data:`ORACLE_LIMIT`, 24: that is
     316,234,143,225 matchings and at worst 75,025 completed sets; see
@@ -302,61 +303,59 @@ def oracle_min_weight(g: SignedCompleteGraph) -> tuple[int, PerfectMatching]:
     if order > ORACLE_LIMIT:
         raise OracleLimitError(
             f"order {order} exceeds the oracle limit {ORACLE_LIMIT} ({ORACLE_COST})")
-    plus = g.plus_masks
+    plus = _plus_masks(g)
     full: dict[int, int] = {0: 1 << order}
-    yes: dict[int, int] = {}
-    everything = (1 << order) - 1
-    for min_abs in range(order // 2 % 2, order // 2 + 1, 2):
-        targets = {t for t in (min_abs, -min_abs)
-                   if _query(everything, order + t, full, yes, plus)}
-        if targets:
-            break
-
-    pairs: list[Pair] = []
-    mask = everything
-    while mask:
-        u = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << u)
-        mm = rest
-        while mm:
-            vbit = mm & -mm
-            mm ^= vbit
-            sub_mask = rest ^ vbit
-            s = 1 if plus[u] & vbit else -1
-            new_targets = {t - s for t in targets
-                           if _query(sub_mask, order + t - s, full, yes, plus)}
-            if new_targets:
-                pairs.append((u, vbit.bit_length() - 1))
-                mask = sub_mask
-                targets = new_targets
-                break
-        else:
-            raise AssertionError("witness reconstruction lost feasibility")
-
-    return min_abs, PerfectMatching(tuple(pairs))
+    min_abs = order // 2 % 2
+    while True:  # |weight| = order/2 at the latest
+        targets = {min_abs, -min_abs}
+        pairs: list[Pair] = []
+        mask = (1 << order) - 1
+        while mask:
+            ubit = mask & -mask
+            u = ubit.bit_length() - 1
+            rest = m = mask ^ ubit
+            while m:
+                vbit = m & -m
+                m ^= vbit
+                s = 1 if plus[u] & vbit else -1
+                reached = {t - s for t in targets
+                           if _reach(rest ^ vbit, order + t - s, full, plus)}
+                if reached:
+                    pairs.append((u, vbit.bit_length() - 1))
+                    mask, targets = rest ^ vbit, reached
+                    break
+            else:
+                break  # vertex 0 has no partner: min_abs is not achieved
+        if not mask:
+            return min_abs, PerfectMatching(tuple(pairs))
+        min_abs += 2
 
 
-def _query(mask, bit, full, yes, plus) -> bool:
-    """Whether weight ``bit`` - order is achievable on the vertex set
-    ``mask``, read from the memos or else found by :func:`_reach`."""
-    known = full.get(mask)
-    if known is not None:
-        return bool(known >> bit & 1)
-    return bool(yes.get(mask, 0) >> bit & 1) or _reach(mask, bit, full, yes, plus)
+def _plus_masks(g: SignedCompleteGraph) -> list[int]:
+    """Per-vertex plus neighbourhoods: bit v of entry u <=> sign(u, v) = +1."""
+    masks = [0] * g.order
+    for (u, v), sign in zip(combinations(range(g.order), 2), g.signs):
+        if sign > 0:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return masks
 
 
-def _reach(mask, bit, full, yes, plus) -> bool:
-    """:func:`_query` on a set not yet complete.
+def _reach(mask, bit, full, plus) -> bool:
+    """Whether weight ``bit`` - order is achievable on the vertex set ``mask``.
 
-    Its lowest vertex u tries its partners v ascending; the child
-    ``mask`` - {u, v} needs weight - sign(u, v).  The weights of complete
-    children are ORed per sign as they come.  An incomplete child is asked,
-    through ``yes`` or by recursion, only when the children before it do not
-    already answer, and a failed query completed it.  A success is noted in
-    ``yes``.  When the loop ends every child is complete, so the set's
+    A complete set is read from ``full``.  Otherwise its lowest vertex u
+    tries its partners v ascending; the child ``mask`` - {u, v} needs
+    weight - sign(u, v).  The weights of complete children are ORed per
+    sign as they come.  An incomplete child is asked, by recursion, only
+    when the children before it do not already answer, and a failed query
+    completed it.  When the loop ends every child is complete, so the set's
     weights, each sign's OR shifted once, go to ``full``: no set is
     completed twice.
     """
+    known = full.get(mask)
+    if known is not None:
+        return bool(known >> bit & 1)
     ubit = mask & -mask
     rest = mask ^ ubit
     p = rest & plus[ubit.bit_length() - 1]
@@ -369,21 +368,16 @@ def _reach(mask, bit, full, yes, plus) -> bool:
         child = rest ^ vbit
         known = get(child)
         if known is None:
-            if (hi >> (bit - 1) | lo >> (bit + 1)) & 1:
-                break
-            b = bit - 1 if vbit & p else bit + 1
-            if yes.get(child, 0) >> b & 1 or _reach(child, b, full, yes, plus):
-                break
+            if ((hi >> (bit - 1) | lo >> (bit + 1)) & 1
+                    or _reach(child, bit - 1 if vbit & p else bit + 1, full, plus)):
+                return True
             known = full[child]
         if vbit & p:
             hi |= known
         else:
             lo |= known
-    else:
-        weights = full[mask] = (hi << 1) | (lo >> 1)
-        return bool(weights >> bit & 1)
-    yes[mask] = yes.get(mask, 0) | 1 << bit
-    return True
+    weights = full[mask] = (hi << 1) | (lo >> 1)
+    return bool(weights >> bit & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +385,12 @@ def _reach(mask, bit, full, yes, plus) -> bool:
 
 
 class Certificate(NamedTuple):
-    """:func:`certify`'s bound, lo and hi (None when M+ is not built); the
-    witness ``matching`` weighs ``weight``.  ``bridge`` is the r of the
-    exchange that bridged the walk's jump over 0, else 0."""
+    """:func:`certify`'s bound and lo; the witness ``matching`` weighs
+    ``weight``.  ``bridge`` is the r of the exchange that bridged the walk's
+    jump over 0, else 0."""
 
     bound: int
     lo: int
-    hi: int | None
     matching: PerfectMatching
     weight: int
     bridge: int = 0
@@ -411,10 +404,9 @@ def certify(g: SignedCompleteGraph) -> Certificate:
     most 2*nu_plus - order/2.  Every weight thus lies on the lattice
     lo, lo+2, ..., hi, where lo and hi are the weights of M- and M+, the
     minus and plus classes' maximum matchings completed by
-    :func:`pm_from_sign_max_matching`; M+ is only built when lo <= 0, and
-    ``hi`` is None otherwise.  If the signs show one class to be the
-    complete bipartite graph across a partition {A, B} (the two-block
-    family), the other class is two cliques, so every perfect matching pairs
+    :func:`pm_from_sign_max_matching`; M+ is only built when lo <= 0.  If
+    the signs show one class to be the complete bipartite graph across a
+    partition {A, B} (the two-block family), the other class is two cliques, so every perfect matching pairs
     an even number of A's vertices inside A and uses a number of class edges
     with the parity of |A|; weights breaking that parity are dropped.  The
     bound is the smallest |weight| left on the lattice.
@@ -427,7 +419,7 @@ def certify(g: SignedCompleteGraph) -> Certificate:
     minus_pm = pm_from_sign_max_matching(g, -1)
     lo = sigma_matching(g, minus_pm)
     if lo > 0:  # M- attains lo, so lo meets every parity step
-        return Certificate(lo, lo, None, minus_pm, lo)
+        return Certificate(lo, lo, minus_pm, lo)
     plus_pm = pm_from_sign_max_matching(g, 1)
     hi = sigma_matching(g, plus_pm)
     half = g.order // 2
@@ -453,8 +445,8 @@ def certify(g: SignedCompleteGraph) -> Certificate:
     if jump is not None and best != 0:
         bridged = _bridge(g.signs, off, *jump)
         if bridged is not None:
-            return Certificate(0, lo, hi, PerfectMatching(bridged[0]), 0, bridged[1])
-    return Certificate(bound, lo, hi, PerfectMatching(pairs), best)
+            return Certificate(0, lo, PerfectMatching(bridged[0]), 0, bridged[1])
+    return Certificate(bound, lo, PerfectMatching(pairs), best)
 
 
 def _bridge(signs, off, before, after):

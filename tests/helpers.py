@@ -66,7 +66,8 @@ def reference_oracle(g: SignedCompleteGraph) -> tuple[int, tuple]:
     """
     order = g.order
     offset = order // 2
-    plus = g.plus_masks
+    plus = [sum(1 << v for v in range(order) if v != u and g.sign(u, v) > 0)
+            for u in range(order)]
     full = (1 << order) - 1
     memo = {0: 1 << offset}
     for u in range(order - 2, -1, -1):

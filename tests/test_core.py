@@ -95,13 +95,6 @@ class TestGraphType:
         b = random_with_imbalance(8, 2, 7)
         assert a == b and hash(a) == hash(b)
 
-    def test_plus_masks_match_sign(self):
-        for order, seed in ((2, 0), (4, 1), (8, 2), (12, 3)):
-            g = random_with_imbalance(order, pair_count(order) % 2, seed)
-            for u in range(order):
-                expected = sum(1 << v for v in range(order) if v != u and g.sign(u, v) > 0)
-                assert g.plus_masks[u] == expected
-
     def test_imbalance_parity_matches_pair_count(self):
         for order in (4, 6, 8, 10):
             for seed in range(5):

@@ -29,7 +29,7 @@ GOLDEN = {
         "bc1e689ba9a73f41dc10835eaa05eff62bdb2f5d6e6357c5bb4571bd53478901",
     ("verify", "thm2", "--n", "3", "--k", "2", "--samples", "20", "--seed", "5",
      "--format", "json"):
-        "966ff07a7e681af39cb07cb9e60e56d004cb6cb093a2ae93ee84877531880a88",
+        "b0f10301fc5cb829787074dbbb53c73254885c5a34e0a1b904c1b9e51bfa2f3b",
     ("verify", "prop2", "--k", "8", "--format", "json"):
         "e594b3b3021901165265586638227bebfd2b0ece0118da6be03a753993b404ff",
 }

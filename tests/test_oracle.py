@@ -109,7 +109,7 @@ class TestOracle:
 
     def test_memo_freed_on_return(self):
         # balanced, then refuted at the floor (every matching weighs >= 4), so
-        # that ``yes`` is filled in one call and every set completed in the other
+        # that few sets are completed in one call and every set in the other
         for g in (random_with_imbalance(12, 0, 5), clique_instance(3, 2)):
             gc.collect()
             gc.disable()
@@ -240,11 +240,37 @@ class TestAgainstRetiredDP:
             for seed in (i, 100 + i):
                 self.check(random_with_imbalance(order, s, seed))
 
+    def test_next_weight_past_order_12(self):
+        # minima at the floor and above it, where the first weights tried fail
+        cases = [clique_instance(4, k) for k in (1, 2, 3)]
+        cases += [clique_instance(5, 2), proposition2_instance(4)]
+        for order in (14, 16, 18, 20):
+            total, half = pair_count(order), order // 2
+            floor = half % 2
+            # s = +-(total - 2m) leaves m pairs of the minority sign, so
+            # |weight| >= half - 2m: floor + 4, floor + 2 and the floor here
+            for m in range((half - floor) // 2 - 2, (half - floor) // 2 + 1):
+                for s, seed in product((total - 2 * m, 2 * m - total), (0, 1)):
+                    cases.append(random_with_imbalance(order, s, seed))
+        above_floor = set()
+        for g in cases:
+            w, witness = oracle_min_weight(g)
+            assert (w, witness.pairs) == reference_oracle(g)
+            above_floor.add(w - g.order // 2 % 2)
+        assert {0, 2, 4} <= above_floor
+
 
 class TestQueries:
-    """``solver._query`` on shared memos, as one oracle call uses them,
+    """``solver._reach`` on a shared memo, as one oracle call uses it,
     answers every weight of the whole vertex set exactly, whatever the order
     of the questions."""
+
+    def test_plus_masks_match_sign(self):
+        for order, seed in ((2, 0), (4, 1), (8, 2), (12, 3)):
+            g = random_with_imbalance(order, pair_count(order) % 2, seed)
+            expected = [sum(1 << v for v in range(order) if v != u and g.sign(u, v) > 0)
+                        for u in range(order)]
+            assert solver._plus_masks(g) == expected
 
     @pytest.mark.parametrize("order,s,seed", [(6, 5, 2), (6, -3, 5), (6, -1, 11), (8, 0, 3),
                                               (8, 10, 4), (10, -5, 1), (10, 15, 2), (12, 0, 7)])
@@ -254,25 +280,25 @@ class TestQueries:
         half, everything = order // 2, (1 << order) - 1
         lattice = range(-half, half + 1, 2)  # every weight has the parity of half
         up, down = [w for w in lattice if w >= 0], [w for w in reversed(lattice) if w < 0]
-        # from the middle out, so that successes come first and fill ``yes``
+        plus = solver._plus_masks(g)
+        # from the middle out, so that successes come first
         for asked in (up + down, down + up, lattice):
-            full, yes = {0: 1 << order}, {}  # bit i <=> weight i - order
-            answers = {w for w in asked
-                       if solver._query(everything, order + w, full, yes, g.plus_masks)}
+            full = {0: 1 << order}  # bit i <=> weight i - order
+            answers = {w for w in asked if solver._reach(everything, order + w, full, plus)}
             assert answers == weights
 
 
 @pytest.fixture
 def completions(monkeypatch):
-    """Every vertex set whose weights ``solver._reach`` completed, in order;
-    a call on a set already complete fails the test."""
+    """Every vertex set whose weights ``solver._reach`` completed, in order,
+    once per completion: a set completed twice is listed twice."""
     done = []
     reach = solver._reach
 
-    def spy(mask, bit, full, yes, plus):
-        assert mask not in full, f"query on the complete set {mask:b}"
-        found = reach(mask, bit, full, yes, plus)
-        if mask in full:
+    def spy(mask, bit, full, plus):
+        before = full.get(mask)
+        found = reach(mask, bit, full, plus)
+        if full.get(mask) is not before:  # weights are ints past 2^8, each a new object
             done.append(mask)
         return found
 

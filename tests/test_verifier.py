@@ -7,6 +7,7 @@ import pytest
 from lowpm import (
     OracleLimitError,
     ParameterError,
+    SignedCompleteGraph,
     VerifyReport,
     certify,
     clique_instance,
@@ -107,7 +108,8 @@ class TestTheorem2:
         # cap = 26: imbalances -26..26 step 2 -> 27 values, 2 instances each
         assert report.tested == 54
         assert report.ok
-        assert report.stats["constructive_max_abs_weight"] >= 0
+        assert report.stats == {}
+        assert "stats" not in json.loads(report.to_json())
 
     def test_sampled_includes_forced_extremes(self):
         report = verify_theorem2(2, 2, samples=10, seed=3)
@@ -181,19 +183,17 @@ class TestTheorem2:
         (10, 2, "sampled", 12),
     ])
     def test_constructive_weight_equals_a_fresh_minority_matching(self, n, k, grid, samples):
-        # the minority sign's completed maximum matching, built apart from certify
+        # the minority sign's completed maximum matching, built apart from certify,
+        # weighs lo: the instance's for minus, its negation's negated for plus
         report = verify_theorem2(n, k, samples=samples, seed=n + k, grid=grid)
-        worst = 0
         for row in report.rows:
             g = random_with_imbalance(4 * n, row["s"], row["seed"])
-            cert = certify(g)
-            if row["s"] <= 0:  # M+ is built: Erdos-Gallai puts lo <= 0
-                assert cert.hi is not None
+            if row["s"] <= 0:  # at least half the pairs are minus: Erdos-Gallai puts lo <= 0
+                assert certify(g).lo <= 0
             minority = -1 if row["s"] >= 0 else 1
             weight = sigma_by_index(g, pm_from_sign_max_matching(g, minority).pairs)
-            assert weight == (cert.lo if minority < 0 else cert.hi)
-            worst = max(worst, abs(weight))
-        assert report.stats["constructive_max_abs_weight"] == worst
+            signed = g if minority < 0 else SignedCompleteGraph(g.order, tuple(-x for x in g.signs))
+            assert weight == -minority * certify(signed).lo
 
 
 class TestTightness:
