@@ -31,8 +31,6 @@ from .core import (
     PerfectMatching,
     SignedCompleteGraph,
     SimpleGraph,
-    canonical_pair_index,
-    iter_pairs,
     pair_count,
     parse_instance,
     serialize_instance,
@@ -78,12 +76,10 @@ __all__ = [
     "SolveReport",
     "SplitMix64",
     "VerifyReport",
-    "canonical_pair_index",
     "certify",
     "clique_instance",
     "eg_edge_bound",
     "eg_extremal_graph",
-    "iter_pairs",
     "local_search_min_weight",
     "matching_number",
     "maximum_matching",

@@ -3,7 +3,7 @@
 An instance is the complete graph on vertices ``{0, ..., order-1}`` together
 with a label in ``{-1, +1}`` for every unordered vertex pair.  Labels live in
 a flat tuple indexed by the row-major upper-triangle pair index (see
-:func:`canonical_pair_index`), so sign lookup is O(1) and instances are
+:func:`pair_row_offset`), so sign lookup is O(1) and instances are
 immutable and hashable.
 
 This module also owns the two text formats used throughout the package:
@@ -25,10 +25,9 @@ This module also owns the two text formats used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, compress, repeat
 from operator import eq
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 Pair = tuple[int, int]
 
@@ -71,33 +70,15 @@ def pair_count(order: int) -> int:
     return order * (order - 1) // 2
 
 
-def canonical_pair_index(u: int, v: int, order: int) -> int:
-    """Row-major upper-triangle index of the pair ``(u, v)`` with ``u < v``.
+def pair_row_offset(u: int, order: int) -> int:
+    """Row u's offset in the pair index: pair (u, v), u < v, has index offset + v.
 
     The pairs (0,1), (0,2), ..., (0,order-1), (1,2), ... are numbered
-    0, 1, ..., C(order,2)-1; the closed form is::
-
-        index = u*order - u*(u+1)//2 + (v - u - 1)
-
-    Raises :class:`InvalidPairError` unless ``0 <= u < v < order``.
-    """
-    if not (0 <= u < v < order):
-        raise InvalidPairError(f"need 0 <= u < v < order, got u={u}, v={v}, order={order}")
-    return pair_row_offset(u, order) + v
-
-
-def pair_row_offset(u: int, order: int) -> int:
-    """``canonical_pair_index(u, v, order) - v`` for every v > u.
-
-    Hot loops precompute this per row and then read the sign of a pair
-    (u, v), u < v, as ``signs[offset[u] + v]`` without a bounds check.
+    0, 1, ..., C(order,2)-1, the order of ``combinations(range(order), 2)``;
+    the closed form is ``u*order - u*(u+1)//2 + (v - u - 1)``.  Hot loops
+    precompute this per row and read ``signs[offset[u] + v]`` unchecked.
     """
     return u * (2 * order - u - 3) // 2 - 1
-
-
-def iter_pairs(order: int) -> Iterator[Pair]:
-    """Yield all pairs (u, v), u < v, in canonical index order."""
-    return combinations(range(order), 2)
 
 
 @dataclass(frozen=True)
@@ -105,7 +86,7 @@ class SignedCompleteGraph:
     """Complete graph of even order with a +/-1 sign on every edge.
 
     ``signs[i]`` is the label of the pair with canonical index ``i``.  The
-    instance is immutable; all derived quantities are cached.
+    instance is immutable.
     """
 
     order: int
@@ -125,21 +106,16 @@ class SignedCompleteGraph:
     @classmethod
     def from_edge_sign(cls, order: int, sign_of: Callable[[int, int], int]) -> "SignedCompleteGraph":
         """Build an instance by evaluating ``sign_of(u, v)`` on every pair u < v."""
-        return cls(order, tuple(sign_of(u, v) for u, v in iter_pairs(order)))
-
-    @cached_property
-    def plus_count(self) -> int:
-        return self.signs.count(1)
-
-    @cached_property
-    def minus_count(self) -> int:
-        return len(self.signs) - self.plus_count
+        return cls(order, tuple(sign_of(u, v) for u, v in combinations(range(order), 2)))
 
     def sign(self, u: int, v: int) -> int:
         """Label of the edge {u, v} (endpoint order irrelevant)."""
+        order = self.order
         if u > v:
             u, v = v, u
-        return self.signs[canonical_pair_index(u, v, self.order)]
+        if not (0 <= u < v < order):
+            raise InvalidPairError(f"need 0 <= u < v < order, got u={u}, v={v}, order={order}")
+        return self.signs[pair_row_offset(u, order) + v]
 
 
 @dataclass(frozen=True)
@@ -181,19 +157,14 @@ class PerfectMatching:
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """An unlabeled graph on {0, ..., order-1}; edges in canonical form."""
+    """An unlabeled graph on {0, ..., order-1}; edges in canonical form.
+
+    A plain record: lowpm builds every one from canonical pairs, and the one
+    consumer of outside edge lists, ``maximum_matching``, range-checks them.
+    """
 
     order: int
     edges: tuple[Pair, ...]
-
-    def __post_init__(self) -> None:
-        prev: Pair = (-1, -1)
-        for a, b in self.edges:
-            if not (0 <= a < b < self.order):
-                raise InvalidPairError(f"edge ({a},{b}) out of range for order {self.order}")
-            if (a, b) <= prev:
-                raise ParameterError("edges must be strictly sorted canonical pairs")
-            prev = (a, b)
 
     @property
     def edge_count(self) -> int:
@@ -201,15 +172,8 @@ class SimpleGraph:
 
 
 def _pair_subgraph(order: int, selectors: Iterable) -> SimpleGraph:
-    """The graph of the canonical pairs of K_order that ``selectors`` picks.
-
-    Its edges are canonical by construction, so ``SimpleGraph``'s per-edge
-    check, which costs as much as building them, is skipped.
-    """
-    graph = object.__new__(SimpleGraph)
-    object.__setattr__(graph, "order", order)
-    object.__setattr__(graph, "edges", tuple(compress(iter_pairs(order), selectors)))
-    return graph
+    """The graph of the canonical pairs of K_order that ``selectors`` picks."""
+    return SimpleGraph(order, tuple(compress(combinations(range(order), 2), selectors)))
 
 
 def sign_subgraph(g: SignedCompleteGraph, sign: int) -> SimpleGraph:
@@ -220,8 +184,8 @@ def sign_subgraph(g: SignedCompleteGraph, sign: int) -> SimpleGraph:
 
 
 def sigma_total(g: SignedCompleteGraph) -> int:
-    """Sum of all edge labels = plus_count - minus_count (the imbalance)."""
-    return g.plus_count - g.minus_count
+    """Sum of all edge labels, (# plus) - (# minus): the imbalance."""
+    return 2 * g.signs.count(1) - len(g.signs)
 
 
 def sigma_matching(g: SignedCompleteGraph, m: PerfectMatching) -> int:

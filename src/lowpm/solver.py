@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import eq
 from typing import Iterator, NamedTuple
 
 from . import blossom
@@ -334,10 +335,9 @@ def oracle_min_weight(g: SignedCompleteGraph) -> tuple[int, PerfectMatching]:
 def _plus_masks(g: SignedCompleteGraph) -> list[int]:
     """Per-vertex plus neighbourhoods: bit v of entry u <=> sign(u, v) = +1."""
     masks = [0] * g.order
-    for (u, v), sign in zip(combinations(range(g.order), 2), g.signs):
-        if sign > 0:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+    for u, v in compress(combinations(range(g.order), 2), map(eq, g.signs, repeat(1))):
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     return masks
 
 

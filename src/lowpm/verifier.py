@@ -144,9 +144,11 @@ class VerifyReport:
                 lines.append(f"solver_mismatches {len(value)}")
             else:
                 lines.append(f"{key} {json.dumps(value, sort_keys=True)}")
-        for entry in self.failures:
-            lines.append(f"FAIL expected {entry['expected']}, observed {entry['observed']}")
-            lines.append("  " + entry["instance"].replace("\n", " / ").rstrip(" /"))
+        mismatches = self.stats.get("solver_mismatches", [])
+        for tag, entries in (("FAIL", self.failures), ("MISMATCH", mismatches)):
+            for entry in entries:
+                lines.append(f"{tag} expected {entry['expected']}, observed {entry['observed']}")
+                lines.append("  " + entry["instance"].replace("\n", " / ").rstrip(" /"))
         return "\n".join(lines)
 
     def to_csv(self) -> str:

@@ -336,7 +336,12 @@ class TestVerify:
         assert entry["observed"] == "solver weight 2"
         code, out, _ = run(capsys, *argv)
         assert code == 1
-        assert "solver_mismatches 1" in out.splitlines()
+        lines = out.splitlines()
+        assert "solver_mismatches 1" in lines
+        at = lines.index(f"MISMATCH expected {entry['expected']}, observed {entry['observed']}")
+        replayed = parse_instance(lines[at + 1].strip().replace(" / ", "\n") + "\n")
+        assert replayed == random_with_imbalance(4, 0, seed)
+        assert not any(line.startswith("FAIL") for line in lines)
 
     def test_thm2_counterexample_exits_1(self, capsys, monkeypatch):
         real = verifier.certify

@@ -60,16 +60,16 @@ class TestProposition2Instance:
     def test_k2_shape(self):
         g = proposition2_instance(2)
         assert g.order == 8
-        assert g.plus_count == 15       # |A| * |B| = 5 * 3
-        assert g.minus_count == 13
+        assert g.signs.count(1) == 15       # |A| * |B| = 5 * 3
+        assert g.signs.count(-1) == 13
         assert sigma_total(g) == 2
 
     def test_k4_shape(self):
         g = proposition2_instance(4)
         assert g.order == 20
         # |A| * |B| = ((k^2+4)(k^2+3)+4)/4 = C(20,2)/2 + 1 = 96
-        assert g.plus_count == ((16 + 4) * (16 + 3) + 4) // 4 == 96
-        assert g.plus_count == pair_count(20) // 2 + 1
+        assert g.signs.count(1) == ((16 + 4) * (16 + 3) + 4) // 4 == 96
+        assert g.signs.count(1) == pair_count(20) // 2 + 1
         assert sigma_total(g) == 2
 
     @pytest.mark.parametrize("k", [2, 4, 6])
@@ -96,18 +96,18 @@ class TestProposition2Instance:
 class TestCliqueInstance:
     def test_22_is_all_plus(self):
         g = clique_instance(2, 2)
-        assert g.minus_count == 0
+        assert g.signs.count(-1) == 0
         assert sigma_total(g) == 28 == 2 * 2 + 11 * 2 + 2  # n^2 + 11n + 2 at n=2
 
     def test_32(self):
         g = clique_instance(3, 2)
         assert g.order == 12
-        assert g.plus_count == comb(11, 2)
+        assert g.signs.count(1) == comb(11, 2)
         assert sigma_total(g) == 2 * 55 - 66 == 44
 
     def test_33_is_all_plus_k12(self):
         g = clique_instance(3, 3)
-        assert g.minus_count == 0
+        assert g.signs.count(-1) == 0
         assert sigma_total(g) == 66
 
     def test_clique_occupies_lowest_vertices(self):
@@ -208,15 +208,15 @@ class TestErdosGallai:
 class TestRandomWithImbalance:
     def test_balanced_counts(self):
         g = random_with_imbalance(8, 0, 7)
-        assert (g.plus_count, g.minus_count) == (14, 14)
+        assert (g.signs.count(1), g.signs.count(-1)) == (14, 14)
 
     def test_all_plus(self):
         g = random_with_imbalance(8, 28, 7)
-        assert g.minus_count == 0
+        assert g.signs.count(-1) == 0
 
     def test_all_minus(self):
         g = random_with_imbalance(8, -28, 7)
-        assert g.plus_count == 0
+        assert g.signs.count(1) == 0
 
     def test_parity_error_names_rule(self):
         with pytest.raises(ParameterError) as info:

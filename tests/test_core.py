@@ -1,5 +1,7 @@
 """Core types, sign arithmetic and the text formats."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,6 @@ from lowpm import (
     PerfectMatching,
     SignedCompleteGraph,
     SimpleGraph,
-    canonical_pair_index,
-    iter_pairs,
     pair_count,
     parse_instance,
     random_with_imbalance,
@@ -22,6 +22,7 @@ from lowpm import (
     sigma_total,
     sign_subgraph,
 )
+from lowpm.core import pair_row_offset
 
 from helpers import brute_perfect_matchings
 
@@ -37,35 +38,49 @@ def k4_two_plus():
     )
 
 
+def only_plus_at(order, index):
+    """The instance of the given order whose one plus edge has pair index ``index``."""
+    signs = [-1] * pair_count(order)
+    signs[index] = 1
+    return SignedCompleteGraph(order, tuple(signs))
+
+
 class TestPairIndex:
     def test_first_pair(self):
-        assert canonical_pair_index(0, 1, 8) == 0
+        assert pair_row_offset(0, 8) + 1 == 0
+        assert only_plus_at(8, 0).sign(0, 1) == 1
 
     def test_last_pair(self):
-        assert canonical_pair_index(6, 7, 8) == 27
+        assert pair_row_offset(6, 8) + 7 == 27
+        assert only_plus_at(8, 27).sign(7, 6) == 1
 
     def test_hand_enumerated_value(self):
         # walking the upper triangle of order 8: (0,1)..(0,7) take 0..6,
         # then (1,2) -> 7 and (1,3) -> 8
-        assert canonical_pair_index(1, 3, 8) == 8
+        assert pair_row_offset(1, 8) + 3 == 8
+        g = only_plus_at(8, 8)
+        assert [p for p in combinations(range(8), 2) if g.sign(*p) == 1] == [(1, 3)]
 
     @pytest.mark.parametrize("order", [2, 3, 5, 8, 13])
     def test_bijection(self, order):
-        seen = [canonical_pair_index(u, v, order) for u, v in iter_pairs(order)]
+        seen = [pair_row_offset(u, order) + v for u, v in combinations(range(order), 2)]
         assert seen == list(range(pair_count(order)))
 
-    @pytest.mark.parametrize("u,v", [(3, 3), (5, 2), (-1, 2), (0, 8), (7, 9)])
+    @pytest.mark.parametrize("u,v", [(3, 3), (-1, 2), (0, 8), (7, 9)])
     def test_invalid_pairs(self, u, v):
-        with pytest.raises(InvalidPairError):
-            canonical_pair_index(u, v, 8)
+        with pytest.raises(InvalidPairError, match="need 0 <= u < v < order"):
+            only_plus_at(8, 0).sign(u, v)
+
+    def test_reversed_pair_is_valid(self):
+        assert only_plus_at(8, pair_row_offset(2, 8) + 5).sign(5, 2) == 1
 
 
 class TestGraphType:
     def test_counts(self):
         g = all_plus(8)
-        assert (g.plus_count, g.minus_count) == (28, 0)
+        assert (g.signs.count(1), g.signs.count(-1), sigma_total(g)) == (28, 0, 28)
         g = random_with_imbalance(8, 0, 3)
-        assert (g.plus_count, g.minus_count) == (14, 14)
+        assert (g.signs.count(1), g.signs.count(-1), sigma_total(g)) == (14, 14, 0)
 
     def test_sign_lookup_symmetric(self):
         g = k4_two_plus()
@@ -87,7 +102,7 @@ class TestGraphType:
 
     def test_accepts_bool_true_as_plus(self):
         g = SignedCompleteGraph(4, (True, -1, -1, 1, 1, -1))
-        assert g.plus_count == 3 and g.minus_count == 3
+        assert g.signs.count(1) == g.signs.count(-1) == 3 and sigma_total(g) == 0
         assert serialize_instance(g) == "signed-k 1\norder 4\nsigns +--++-\n"
 
     def test_hashable_and_equal(self):
@@ -179,16 +194,6 @@ class TestPerfectMatchingType:
 
 
 class TestSimpleGraph:
-    def test_validation(self):
-        SimpleGraph(4, ((0, 1), (1, 3)))
-        SimpleGraph(4, ())
-        for edges in (((0, 4),), ((2, 1),), ((0, 1), (2, 2)), ((-1, 2),), ((0, 1), (3, 2))):
-            with pytest.raises(InvalidPairError, match=r"edge \(-?\d,\d\) out of range"):
-                SimpleGraph(4, edges)
-        for edges in (((1, 3), (0, 1)), ((0, 1), (0, 1)), ((0, 2), (0, 1), (0, 3))):
-            with pytest.raises(ParameterError, match="strictly sorted"):
-                SimpleGraph(4, edges)
-
     def test_sign_subgraph(self):
         g = k4_two_plus()
         assert sign_subgraph(g, 1).edges == ((0, 1), (2, 3))
@@ -202,8 +207,8 @@ class TestSimpleGraph:
             for s in (total % 2, total - order, 2 * order - total):
                 g = random_with_imbalance(order, s, order * 100 + s)
                 for sign in (1, -1):
-                    expected = tuple(p for p in iter_pairs(order) if g.sign(*p) == sign)
-                    # equal to the checked construction, so it would pass the check
+                    pairs = combinations(range(order), 2)
+                    expected = tuple(p for p in pairs if g.sign(*p) == sign)
                     assert sign_subgraph(g, sign) == SimpleGraph(order, expected), (order, s, sign)
 
 

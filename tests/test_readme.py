@@ -3,13 +3,15 @@
 Each ``lowpm ...`` line of the command block runs through ``cli.main`` in a
 fresh working directory, in order (later commands read the files earlier
 ones write), and must exit 0.  The ``#   ...`` lines indented under a
-command are its stdout, line for line.
+command are its stdout, line for line.  The names the Library section says
+are no longer exported are absent from ``lowpm``.
 """
 
 import re
 import shlex
 from pathlib import Path
 
+import lowpm
 from lowpm.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -48,3 +50,22 @@ def test_command_line_block(tmp_path, monkeypatch, capsys):
 
 def test_library_block():
     exec(compile(fenced_block("Library", "python"), "README.md", "exec"), {})
+
+
+def no_longer_exported() -> list[str]:
+    """The backticked names after "no longer exported:" in the Library section,
+    with each parenthesised note (what to use instead) left out."""
+    library = README.split("\n## Library\n")[1]
+    match = re.search(r"no longer exported:(.*?)(?:\n\n|\Z)", library, re.S)
+    assert match, "README's Library section lists no names that are no longer exported"
+    text, removed = match.group(1), 1
+    while removed:  # innermost parentheses first, as the notes nest
+        text, removed = re.subn(r"\([^()]*\)", "", text)
+    return re.findall(r"`([A-Za-z_]\w*)`", text)
+
+
+def test_no_longer_exported_names_stay_absent():
+    names = no_longer_exported()
+    assert {"Exchange", "canonical_pair_index", "iter_pairs", "lower_bound"} <= set(names)
+    for name in names:
+        assert not hasattr(lowpm, name), name
