@@ -25,7 +25,7 @@ This module also owns the two text formats used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, repeat
+from itertools import combinations, repeat
 from operator import eq
 from typing import Callable, Iterable
 
@@ -104,6 +104,16 @@ class SignedCompleteGraph:
             raise ParameterError("every sign must be -1 or +1")
 
     @classmethod
+    def _trusted(cls, order: int, signs: tuple[int, ...]) -> "SignedCompleteGraph":
+        """An instance from lowpm's own generators, whose order is valid and
+        whose signs are C(order, 2) values of +/-1 by construction: built
+        without the checks, which scan the signs twice."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "order", order)
+        object.__setattr__(g, "signs", signs)
+        return g
+
+    @classmethod
     def from_edge_sign(cls, order: int, sign_of: Callable[[int, int], int]) -> "SignedCompleteGraph":
         """Build an instance by evaluating ``sign_of(u, v)`` on every pair u < v."""
         return cls(order, tuple(sign_of(u, v) for u, v in combinations(range(order), 2)))
@@ -157,30 +167,69 @@ class PerfectMatching:
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """An unlabeled graph on {0, ..., order-1}; edges in canonical form.
+    """An unlabeled graph on {0, ..., order-1} as neighbour bitsets.
 
-    A plain record: lowpm builds every one from canonical pairs, and the one
-    consumer of outside edge lists, ``maximum_matching``, range-checks them.
+    Bit v of ``rows[u]`` is set iff {u, v} is an edge.  A plain record:
+    lowpm builds every one symmetric and loop-free from canonical pairs, and
+    outside edge lists come in through :meth:`from_edges`, which range-checks
+    them.
     """
 
     order: int
-    edges: tuple[Pair, ...]
+    rows: tuple[int, ...]
+
+    @classmethod
+    def from_edges(cls, order: int, edges: Iterable[Pair]) -> "SimpleGraph":
+        """The graph of an edge list; each edge (u, v) needs 0 <= u < v < order."""
+        rows = [0] * order
+        for u, v in edges:
+            if not (0 <= u < v < order):
+                raise InvalidPairError(f"edge ({u},{v}) out of range for order {order}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return cls(order, tuple(rows))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.rows)) // 2
+
+    @property
+    def edges(self) -> tuple[Pair, ...]:
+        """The edges as canonical pairs, in canonical pair order."""
+        rows = self.rows
+        return tuple((u, v) for u, v in combinations(range(self.order), 2) if rows[u] >> v & 1)
 
 
-def _pair_subgraph(order: int, selectors: Iterable) -> SimpleGraph:
-    """The graph of the canonical pairs of K_order that ``selectors`` picks."""
-    return SimpleGraph(order, tuple(compress(combinations(range(order), 2), selectors)))
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pair_subgraph(order: int, picked: bytes) -> SimpleGraph:
+    """The graph of the canonical pairs of K_order whose byte in ``picked``,
+    one 0/1 byte per pair, is 1.
+
+    The pairs are laid out as the upper triangle of an order x order digit
+    square: row u holds pair (u, v) at column v > u, so column u above the
+    diagonal, ``square[u::order][:u]``, holds the pairs (v, u), v < u.  Row u
+    of the graph is that column followed by row u from the diagonal on,
+    read as a binary numeral with column v as bit v.
+    """
+    digits = picked.translate(_DIGITS)
+    square = bytearray(b"0") * (order * order)
+    start = 0
+    for u in range(order - 1):
+        end = start + order - 1 - u
+        square[u * order + u + 1:(u + 1) * order] = digits[start:end]
+        start = end
+    return SimpleGraph(order, tuple(
+        int((square[u::order][:u] + square[u * order + u:(u + 1) * order])[::-1], 2)
+        for u in range(order)))
 
 
 def sign_subgraph(g: SignedCompleteGraph, sign: int) -> SimpleGraph:
     """The spanning subgraph of edges carrying the given sign."""
     if sign not in (-1, 1):
         raise ParameterError(f"sign must be -1 or +1, got {sign}")
-    return _pair_subgraph(g.order, map(eq, g.signs, repeat(sign)))
+    return _pair_subgraph(g.order, bytes(map(eq, g.signs, repeat(sign))))
 
 
 def sigma_total(g: SignedCompleteGraph) -> int:

@@ -497,7 +497,7 @@ def pm_from_sign_max_matching(g: SignedCompleteGraph, sign: int) -> PerfectMatch
     matching number.
     """
     sub = sign_subgraph(g, sign)
-    mm = blossom.maximum_matching(sub.order, sub.edges)
+    mm = blossom.maximum_matching(sub.order, sub.rows)
     covered = {v for p in mm for v in p}
     uncovered = [v for v in range(g.order) if v not in covered]
     rest = [(uncovered[i], uncovered[i + 1]) for i in range(0, len(uncovered), 2)]

@@ -193,7 +193,7 @@ def test_criterion_7_erdos_gallai():
     for n, k in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
         graph = eg_extremal_graph(n, k)
         extremal_ok = extremal_ok and graph.edge_count == eg_edge_bound(n, k)
-        extremal_ok = extremal_ok and matching_number(graph.order, graph.edges) == n - k
+        extremal_ok = extremal_ok and matching_number(graph.order, graph.rows) == n - k
     contrapositive = verify_erdos_gallai(2, 1, samples=1000, seed=7)
     checked = contrapositive.stats["samples_above_bound"]
     # only the two extremal checks and the graphs above the bound are counted
@@ -227,7 +227,7 @@ def test_criterion_8_property_suites():
     # blossom vs brute force on every corpus graph of order <= 10
     graphs = graph_corpus_up_to_10()
     blossom_ok = all(
-        matching_number(graph.order, graph.edges)
+        matching_number(graph.order, graph.rows)
         == brute_matching_number(graph.order, graph.edges)
         for graph in graphs
     )

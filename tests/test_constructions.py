@@ -1,6 +1,7 @@
 """Instance families, bound functions, and the seeded samplers."""
 
 from collections import Counter
+from itertools import compress
 from math import comb
 
 import pytest
@@ -20,6 +21,8 @@ from lowpm import (
     sign_subgraph,
     thm2_bound,
 )
+from lowpm.constructions import _nth_marked
+from lowpm.rng import SplitMix64
 
 from helpers import (
     brute_matching_number,
@@ -172,17 +175,17 @@ class TestErdosGallai:
         graph = eg_extremal_graph(2, 1)
         assert graph.edge_count == 7
         assert all(7 in pair for pair in graph.edges)
-        assert matching_number(graph.order, graph.edges) == 1
+        assert matching_number(graph.order, graph.rows) == 1
 
     def test_22_extremal_is_edgeless(self):
         graph = eg_extremal_graph(2, 2)
         assert graph.edge_count == 0
-        assert matching_number(graph.order, graph.edges) == 0
+        assert matching_number(graph.order, graph.rows) == 0
 
     def test_31_extremal(self):
         graph = eg_extremal_graph(3, 1)
         assert graph.edge_count == 21
-        assert matching_number(graph.order, graph.edges) == 2
+        assert matching_number(graph.order, graph.rows) == 2
 
     def test_extremal_matches_minus_subgraph_of_clique_instance(self):
         for n in range(1, 7):
@@ -294,6 +297,48 @@ class TestRandomWithImbalance:
         assert len(counts) == 20
         expected = draws / 20
         assert sum((c - expected) ** 2 / expected for c in counts.values()) < 43.82
+
+
+class TestTrustedConstruction:
+    """The generators build their instances past the constructor's checks;
+    the checked constructor must accept and reproduce every one."""
+
+    def test_every_family_passes_the_checked_constructor(self):
+        instances = [proposition2_instance(k) for k in range(2, 11, 2)]
+        instances += [clique_instance(n, k) for n in range(1, 9) for k in range(1, n + 1)]
+        for order in range(2, 41, 2):
+            total = comb(order, 2)
+            for p in sorted({0, 1, total // 3, total // 2, total - 1, total} & set(range(total + 1))):
+                instances.append(random_with_imbalance(order, total - 2 * p, order * 7 + p))
+        for g in instances:
+            assert SignedCompleteGraph(g.order, g.signs) == g
+            assert set(g.signs) <= {-1, 1}
+
+
+class TestNthMarked:
+    @staticmethod
+    def reference(mark, ranks):
+        positions = list(compress(range(len(mark)), mark))
+        return [positions[r] for r in ranks]
+
+    def test_random_marks(self):
+        rng = SplitMix64(29)
+        for length in (1, 7, 8, 9, 63, 64, 65, 200, 1000, 12720):
+            for density in (1, 2, 8):
+                mark = bytes(int(rng.bounded(density) == 0) for _ in range(length))
+                ones = sum(mark)
+                if not ones:
+                    assert _nth_marked(mark, []) == []
+                    continue
+                ranks = [0, ones - 1] + [rng.bounded(ones) for _ in range(20)]
+                assert _nth_marked(mark, ranks) == self.reference(mark, ranks), (length, density)
+                every = list(range(ones))
+                assert _nth_marked(bytearray(mark), every) == self.reference(mark, every)
+
+    def test_empty_ranks_and_marks(self):
+        assert _nth_marked(b"", []) == []
+        assert _nth_marked(bytes(100), []) == []
+        assert _nth_marked(b"\x01" * 100, [99, 0, 50]) == [99, 0, 50]
 
 
 class TestRandomGraph:

@@ -1,6 +1,6 @@
 """Core types, sign arithmetic and the text formats."""
 
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from lowpm import (
     PerfectMatching,
     SignedCompleteGraph,
     SimpleGraph,
+    SplitMix64,
     pair_count,
     parse_instance,
     random_with_imbalance,
@@ -22,7 +23,7 @@ from lowpm import (
     sigma_total,
     sign_subgraph,
 )
-from lowpm.core import pair_row_offset
+from lowpm.core import _pair_subgraph, pair_row_offset
 
 from helpers import brute_perfect_matchings
 
@@ -209,7 +210,43 @@ class TestSimpleGraph:
                 for sign in (1, -1):
                     pairs = combinations(range(order), 2)
                     expected = tuple(p for p in pairs if g.sign(*p) == sign)
-                    assert sign_subgraph(g, sign) == SimpleGraph(order, expected), (order, s, sign)
+                    graph = sign_subgraph(g, sign)
+                    assert graph == SimpleGraph.from_edges(order, expected), (order, s, sign)
+                    assert graph.edges == expected
+
+    def test_sign_subgraph_accepts_bool_and_float_signs(self):
+        g = SignedCompleteGraph(4, (True, 1.0, -1, 1, -1.0, True))
+        assert sign_subgraph(g, 1).edges == ((0, 1), (0, 2), (1, 2), (2, 3))
+        assert sign_subgraph(g, -1).edges == ((0, 3), (1, 3))
+
+    @pytest.mark.parametrize("order", range(32))
+    def test_pair_subgraph_rows(self, order):
+        # one 0/1 byte per canonical pair, one word each
+        rng = SplitMix64(order)
+        picked = bytes(rng.bounded(2) for _ in range(pair_count(order)))
+        graph = _pair_subgraph(order, picked)
+        rows = graph.rows
+        assert len(rows) == order
+        for u in range(order):
+            assert not rows[u] >> u & 1
+            assert rows[u] < 1 << order
+            for v in range(order):
+                assert (rows[u] >> v & 1) == (rows[v] >> u & 1)
+        assert graph.edges == tuple(compress(combinations(range(order), 2), picked))
+        assert graph.edge_count == sum(picked)
+
+    @pytest.mark.parametrize("edge", [(-1, 2), (2, 1), (0, 6)])
+    def test_from_edges_rejects_edge_out_of_range(self, edge):
+        # a negative endpoint would otherwise set no bit, or a huge one
+        with pytest.raises(InvalidPairError, match=rf"edge \({edge[0]},{edge[1]}\) out of range"):
+            SimpleGraph.from_edges(6, ((0, 1), edge, (3, 4)))
+
+    def test_from_edges_round_trip(self):
+        edges = ((0, 3), (1, 2), (1, 5), (4, 5))
+        graph = SimpleGraph.from_edges(6, reversed(edges))
+        assert graph.rows == (0b1000, 0b100100, 0b10, 0b1, 0b100000, 0b10010)
+        assert graph.edges == edges
+        assert graph.edge_count == 4
 
 
 class TestInstanceFormat:

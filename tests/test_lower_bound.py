@@ -73,7 +73,7 @@ def assert_bound_matches_oracle(cases, oracle=True):
     for name, g in cases:
         cert = certify(g)
         weight = sigma_by_index(g, cert.matching.pairs)
-        nu_minus = matching_number(g.order, sign_subgraph(g, -1).edges)
+        nu_minus = matching_number(g.order, sign_subgraph(g, -1).rows)
         found = []
         if weight != cert.weight:
             found.append(f"witness weighs {weight}, reported {cert.weight}")
@@ -482,12 +482,12 @@ class TestMatchingNumbers:
         sparse = total - 2 * (3 * order // 4)
         for s in (0, sparse, -sparse):
             g = random_with_imbalance(order, s, order + s)
-            for edges in (sign_subgraph(g, 1).edges, sign_subgraph(g, -1).edges):
+            for graph in (sign_subgraph(g, 1), sign_subgraph(g, -1)):
                 reference = nx.Graph()
                 reference.add_nodes_from(range(order))
-                reference.add_edges_from(edges)
+                reference.add_edges_from(graph.edges)
                 expected = len(nx.max_weight_matching(reference, maxcardinality=True))
-                assert matching_number(order, edges) == expected, (order, s)
+                assert matching_number(order, graph.rows) == expected, (order, s)
 
 
 class TestLazyUse:
@@ -495,9 +495,9 @@ class TestLazyUse:
         calls = []
         real = blossom.maximum_matching
 
-        def counting(order, edges):
+        def counting(order, rows):
             calls.append(order)
-            return real(order, edges)
+            return real(order, rows)
 
         monkeypatch.setattr(blossom, "maximum_matching", counting)
         return calls

@@ -17,6 +17,7 @@ from lowpm import (
     random_with_imbalance,
     serialize_instance,
     sigma_matching,
+    sign_subgraph,
     verify_theorem1,
     verify_theorem2,
     verify_tightness,
@@ -271,6 +272,14 @@ class TestQueries:
             expected = [sum(1 << v for v in range(order) if v != u and g.sign(u, v) > 0)
                         for u in range(order)]
             assert solver._plus_masks(g) == expected
+
+    def test_plus_masks_match_sign_subgraph(self):
+        # the oracle builds its own plus rows; sign_subgraph's are a second builder
+        for order in range(2, 41, 2):
+            g = random_with_imbalance(order, pair_count(order) % 2, order)
+            assert solver._plus_masks(g) == list(sign_subgraph(g, 1).rows)
+        for g in (clique_instance(5, 2), proposition2_instance(4)):
+            assert solver._plus_masks(g) == list(sign_subgraph(g, 1).rows)
 
     @pytest.mark.parametrize("order,s,seed", [(6, 5, 2), (6, -3, 5), (6, -1, 11), (8, 0, 3),
                                               (8, 10, 4), (10, -5, 1), (10, 15, 2), (12, 0, 7)])

@@ -286,7 +286,7 @@ class TestErdosGallai:
         # above the bound, so each failure entry is built from its callable
         from lowpm import blossom, random_graph, sign_subgraph
 
-        monkeypatch.setattr(blossom, "matching_number", lambda order, edges: 0)
+        monkeypatch.setattr(blossom, "matching_number", lambda order, rows: 0)
         report = verify_erdos_gallai(2, 1, samples=20, seed=3)
         extremal, *sampled = report.failures
         assert extremal["expected"] == "matching_number 1"
